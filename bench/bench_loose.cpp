@@ -15,6 +15,7 @@
 #include "analysis/statistics.hpp"
 #include "analysis/table.hpp"
 #include "common.hpp"
+#include "pp/convergence.hpp"
 #include "pp/scheduler.hpp"
 #include "pp/sharded_scheduler.hpp"
 #include "pp/trial.hpp"
@@ -38,26 +39,16 @@ loose_outcome run_once(std::uint32_t n, std::uint32_t t_max,
 
   const auto drive = [&](auto& eng) {
     loose_outcome out;
-    const auto leaders = [&] { return p.leader_count(eng.agents()); };
-    // The leader count only moves on a state change, so unchanged
-    // interactions need no rescan.
-    if (leaders() != 1) {
-      eng.run(
-          UINT64_MAX, [](const agent_pair&) {},
-          [&](const agent_pair&, bool changed) {
-            return changed && leaders() == 1;
-          });
-    }
+    leader_tracker leaders;
+    for (const auto& s : eng.agents()) leaders.add(p.is_leader(s));
+    if (!leaders.correct())
+      run_until_unique_leader_is(eng, leaders, true, UINT64_MAX, [] {});
     const std::uint64_t conv_steps = eng.interactions();
     out.convergence = static_cast<double>(conv_steps) / n;
 
     const auto cap =
         static_cast<std::uint64_t>(holding_cap * static_cast<double>(n));
-    eng.run(
-        conv_steps + cap, [](const agent_pair&) {},
-        [&](const agent_pair&, bool changed) {
-          return changed && leaders() != 1;
-        });
+    run_until_unique_leader_is(eng, leaders, false, conv_steps + cap, [] {});
     const std::uint64_t held = eng.interactions() - conv_steps;
     out.holding = static_cast<double>(held) / n;
     out.held_to_cap = held >= cap;

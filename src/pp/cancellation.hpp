@@ -10,9 +10,14 @@
 // cancelled_error.
 //
 // Polling an engine burst boundary instead of every interaction keeps the
-// hot loop untouched; exactness is preserved because interrupting
-// engine.run() at any interaction budget and resuming later continues the
-// identical trajectory (the RNG stream is engine state, see pp/engine.hpp).
+// hot loop untouched.  On the direct engine and the batched count path,
+// interrupting engine.run() at any interaction budget and resuming later
+// continues the identical trajectory (the RNG stream and any cut geometric
+// skip are engine state, see pp/engine.hpp); the block path does too when
+// the transition draws no randomness.  The exceptions follow a different
+// trajectory with the same distribution: the sharded engine plans each
+// round up to the budget, and the block path's shortened batch moves its
+// RNG reads against a randomized transition's (pp/convergence.hpp).
 #pragma once
 
 #include <atomic>

@@ -1,10 +1,20 @@
-// Measurement of convergence / stabilization time for ranking protocols.
+// Measurement of convergence / stabilization time.
 //
-// Correctness (a valid ranking, i.e. ranks form a permutation of 1..n) is
-// tracked *incrementally*: a histogram of rank values is updated from the
-// pre/post ranks of the two interacting agents, so each interaction costs
-// O(1) regardless of n.  This matters for the Theta(n^2)-time baseline whose
-// executions contain Theta(n^3) interactions.
+// Correctness is tracked *incrementally*, so each interaction costs O(1)
+// regardless of n.  The predicate is picked at compile time from the
+// protocol's output:
+//
+//   ranking protocols (rank_of)            a valid ranking, i.e. ranks form
+//                                          a permutation of 1..n
+//                                          (rank_tracker: a histogram of
+//                                          rank values)
+//   leader-election protocols (is_leader)  exactly one leader
+//                                          (leader_tracker: a leader count)
+//
+// Either tracker is updated from the values the two interacting agents held
+// before and after the interaction.  This matters for the Theta(n^2)-time
+// baseline whose executions contain Theta(n^3) interactions, and for loose
+// LE, where nearly every interaction changes state.
 //
 // Terminology follows Section 2 of the paper: an execution converges at
 // interaction i if C_{i-1} is not correct and every C_j, j >= i, is correct.
@@ -13,6 +23,9 @@
 // units during which correctness must not be lost.  For the two silent
 // protocols correctness implies silence (proved in their headers), so the
 // first entry is already stable and a zero confirmation window is exact.
+// Loosely-stabilizing LE holds its leader only for a finite (if long)
+// time, so its measurement is the first entry into exactly one leader,
+// taken with a zero window.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +53,15 @@ struct convergence_options {
   double confirm_parallel_time = 0.0;
   /// Cooperative cancellation (pp/cancellation.hpp).  When set, the engine
   /// runs in bounded bursts and the token is polled between them; a fired
-  /// token aborts the measurement with cancelled_error.  Burst boundaries
-  /// never change the trajectory -- engines resume their RNG stream
-  /// exactly -- so a cancellable run is bit-identical to an uncancellable
-  /// one up to the abort point.
+  /// token aborts the measurement with cancelled_error.  The direct engine
+  /// and the batched count path resume their RNG stream (and any cut
+  /// geometric skip) exactly, so there a cancellable run is bit-identical
+  /// to an uncancellable one up to the abort point; so is the block path
+  /// for a transition that draws no randomness (loose LE).  The
+  /// exceptions keep the distribution but not the trajectory: the sharded
+  /// engine plans each round up to the budget, and on the block path a
+  /// burst cuts a batch short, which moves the scheduler's RNG reads
+  /// against a randomized transition's (sublinear).
   const cancel_token* cancel = nullptr;
   /// Request-scoped structured trace (obs/trace.hpp).  When set, the
   /// measurement emits run framing, convergence / correctness_lost markers,
@@ -120,7 +138,94 @@ class rank_tracker {
   std::uint32_t singletons_ = 0;
 };
 
+/// Incremental tracker for "exactly one agent is a leader".
+class leader_tracker {
+ public:
+  /// Registers the initial leader bit of one agent (call once per agent).
+  void add(bool leader) { count_ += leader ? 1 : 0; }
+
+  /// Applies a leader-bit change of one agent.
+  void update(bool old_leader, bool new_leader) {
+    count_ = count_ + (new_leader ? 1 : 0) - (old_leader ? 1 : 0);
+  }
+
+  /// Number of leaders.
+  std::uint64_t count() const { return count_; }
+
+  /// True iff exactly one agent is a leader.
+  bool correct() const { return count_ == 1; }
+
+ private:
+  std::uint64_t count_ = 0;
+};
+
+/// Runs `sim` -- an engine, or graph_simulation -- until "exactly one
+/// leader" equals `unique` after some interaction, or until `budget`
+/// interactions.  `leaders` holds the configuration's count and stays
+/// current: the pre hook captures the two leader bits, so each interaction
+/// costs O(1).  `on_step` runs after every interaction.  Returns true iff
+/// the predicate was reached.
+template <class Sim, class OnStep>
+bool run_until_unique_leader_is(Sim& sim, leader_tracker& leaders,
+                                bool unique, std::uint64_t budget,
+                                OnStep&& on_step) {
+  const auto& p = sim.protocol();
+  bool pre_a = false, pre_b = false;
+  return sim.run(
+      budget,
+      [&](const agent_pair& pair) {
+        pre_a = p.is_leader(sim.agents()[pair.initiator]);
+        pre_b = p.is_leader(sim.agents()[pair.responder]);
+      },
+      [&](const agent_pair& pair, bool changed) {
+        on_step();
+        if (changed) {
+          leaders.update(pre_a, p.is_leader(sim.agents()[pair.initiator]));
+          leaders.update(pre_b, p.is_leader(sim.agents()[pair.responder]));
+        }
+        return leaders.correct() == unique;
+      });
+}
+
+/// Protocols the harness can measure: ranking protocols and
+/// leader-election-only protocols (pp/protocol.hpp).
+template <class P>
+concept measurable_protocol =
+    ranking_protocol<P> || leader_election_protocol<P>;
+
 namespace detail {
+
+template <class P>
+struct correctness_predicate;
+
+/// The correctness predicate of a ranking protocol: a valid ranking,
+/// tracked over rank_of.  `observe` is the per-agent value the pre hook
+/// captures and the tracker consumes.
+template <ranking_protocol P>
+struct correctness_predicate<P> {
+  using tracker = rank_tracker;
+  using value = std::uint32_t;
+  static tracker make(std::uint32_t n) { return tracker(n); }
+  static value observe(const P& p, const typename P::agent_state& s) {
+    return p.rank_of(s);
+  }
+  /// Two agents meeting with the same rank (the trace's rank_collision).
+  static bool collision(value a, value b) { return a == b && a != 0; }
+};
+
+/// The correctness predicate of a leader-election protocol: exactly one
+/// leader, tracked over is_leader.  It has no ranks, so no collisions.
+template <leader_election_protocol P>
+  requires(!ranking_protocol<P>)
+struct correctness_predicate<P> {
+  using tracker = leader_tracker;
+  using value = bool;
+  static tracker make(std::uint32_t) { return {}; }
+  static value observe(const P& p, const typename P::agent_state& s) {
+    return p.is_leader(s);
+  }
+  static bool collision(value, value) { return false; }
+};
 
 /// The untraced measurement path: every hook inlines to nothing, so the
 /// tracer-parameterized loop below compiles to exactly the historical
@@ -129,8 +234,7 @@ namespace detail {
 struct null_convergence_tracer {
   static constexpr bool enabled = false;
   void before(const agent_pair&) {}
-  void after(const agent_pair&, std::uint32_t, std::uint32_t, double,
-             std::uint64_t) {}
+  void after(const agent_pair&, bool, double, std::uint64_t) {}
   void convergence(double, std::uint64_t) {}
   void correctness_lost(double, std::uint64_t) {}
 };
@@ -157,12 +261,10 @@ class phase_convergence_tracer {
   }
 
   void before(const agent_pair& pair) { observer_.before(pair); }
-  void after(const agent_pair& pair, std::uint32_t pre_ra,
-             std::uint32_t pre_rb, double time, std::uint64_t interaction) {
+  void after(const agent_pair& pair, bool rank_collision, double time,
+             std::uint64_t interaction) {
     observer_.after(pair, /*changed=*/true, time, interaction);
-    if (pre_ra == pre_rb && pre_ra != 0) {
-      observer_.rank_collision(pair, time, interaction);
-    }
+    if (rank_collision) observer_.rank_collision(pair, time, interaction);
   }
   void convergence(double time, std::uint64_t interaction) {
     observer_.convergence(time, interaction);
@@ -180,7 +282,8 @@ class phase_convergence_tracer {
 };
 
 /// Tracer for protocols without phase hooks (baseline, loose): run framing,
-/// rank collisions, and correctness flips -- no phase stream.
+/// rank collisions (ranking protocols only), and correctness flips -- no
+/// phase stream.
 class framing_convergence_tracer {
  public:
   static constexpr bool enabled = true;
@@ -195,9 +298,9 @@ class framing_convergence_tracer {
   }
 
   void before(const agent_pair&) {}
-  void after(const agent_pair& pair, std::uint32_t pre_ra,
-             std::uint32_t pre_rb, double time, std::uint64_t interaction) {
-    if (pre_ra == pre_rb && pre_ra != 0) {
+  void after(const agent_pair& pair, bool rank_collision, double time,
+             std::uint64_t interaction) {
+    if (rank_collision) {
       emit({obs::trace_event_kind::rank_collision, time, interaction,
             pair.initiator});
     }
@@ -221,15 +324,17 @@ class framing_convergence_tracer {
 /// guarded by `if constexpr (Tracer::enabled)` so the null tracer's path
 /// never touches engine.parallel_time() inside the hot hooks.
 template <class Tracer, simulation_engine E>
-  requires ranking_protocol<typename E::protocol_type>
+  requires measurable_protocol<typename E::protocol_type>
 convergence_result measure_convergence_loop(
     E& engine, const convergence_options& opt,
     std::vector<typename E::agent_state>* final_config, Tracer& tracer) {
+  using predicate = correctness_predicate<typename E::protocol_type>;
   const auto& protocol = engine.protocol();
   const std::uint32_t n = engine.population_size();
 
-  rank_tracker tracker(n);
-  for (const auto& s : engine.agents()) tracker.add(protocol.rank_of(s));
+  auto tracker = predicate::make(n);
+  for (const auto& s : engine.agents())
+    tracker.add(predicate::observe(protocol, s));
 
   const auto max_interactions = static_cast<std::uint64_t>(
       opt.max_parallel_time * static_cast<double>(n));
@@ -240,7 +345,7 @@ convergence_result measure_convergence_loop(
   std::uint64_t last_entry = 0;  // interaction index of last entry
   bool was_correct = tracker.correct();
   bool ever_correct = was_correct;
-  std::uint32_t pre_ra = 0, pre_rb = 0;  // captured by the pre hook
+  typename predicate::value pre_a{}, pre_b{};  // captured by the pre hook
 
   // Cancellation polls at burst boundaries: large enough that the poll is
   // free relative to the burst, small enough that a deadline is noticed
@@ -270,20 +375,20 @@ convergence_result measure_convergence_loop(
     engine.run(
         budget,
         [&](const agent_pair& pair) {
-          pre_ra = protocol.rank_of(engine.agents()[pair.initiator]);
-          pre_rb = protocol.rank_of(engine.agents()[pair.responder]);
+          pre_a = predicate::observe(protocol, engine.agents()[pair.initiator]);
+          pre_b = predicate::observe(protocol, engine.agents()[pair.responder]);
           if constexpr (Tracer::enabled) tracer.before(pair);
         },
         [&](const agent_pair& pair, bool changed) {
           if (!changed) return false;
           if constexpr (Tracer::enabled) {
-            tracer.after(pair, pre_ra, pre_rb, engine.parallel_time(),
-                         engine.interactions());
+            tracer.after(pair, predicate::collision(pre_a, pre_b),
+                         engine.parallel_time(), engine.interactions());
           }
-          tracker.update(pre_ra,
-                         protocol.rank_of(engine.agents()[pair.initiator]));
-          tracker.update(pre_rb,
-                         protocol.rank_of(engine.agents()[pair.responder]));
+          tracker.update(pre_a, predicate::observe(
+                                    protocol, engine.agents()[pair.initiator]));
+          tracker.update(pre_b, predicate::observe(
+                                    protocol, engine.agents()[pair.responder]));
           const bool correct = tracker.correct();
           if (correct == was_correct) return false;
           if (correct) {
@@ -330,12 +435,16 @@ convergence_result measure_convergence_loop(
 /// no future interaction can revoke correctness, so every confirmation
 /// window is trivially satisfied.
 ///
+/// The protocol picks the correctness predicate at compile time: a valid
+/// ranking for ranking protocols, exactly one leader for leader-election
+/// protocols (see the top of this file).
+///
 /// With opt.trace set the run additionally streams structured events into
 /// the sink: the full phase/reset stream for phase-instrumented protocols,
 /// run framing + collision/convergence markers otherwise.  Tracing never
 /// perturbs the trajectory -- it only reads states the hooks already see.
 template <simulation_engine E>
-  requires ranking_protocol<typename E::protocol_type>
+  requires measurable_protocol<typename E::protocol_type>
 convergence_result measure_convergence_run(
     E& engine, const convergence_options& opt = {},
     std::vector<typename E::agent_state>* final_config = nullptr) {
@@ -367,7 +476,7 @@ convergence_result measure_convergence_run(
 /// convergence per the options.  `final_config`, when non-null, receives the
 /// configuration at the end of the run.  Equivalent to
 /// measure_convergence_with(engine_kind::direct, ...).
-template <ranking_protocol P>
+template <measurable_protocol P>
 convergence_result measure_convergence(
     P protocol, std::vector<typename P::agent_state> initial,
     std::uint64_t seed, const convergence_options& opt = {},
@@ -388,7 +497,7 @@ convergence_result measure_convergence(
 /// measurement needs per-interaction hooks, so the sharded engine runs its
 /// sequential hooked mode here -- the trajectory is bit-identical to the
 /// threaded run_parallel (tests/sharded_scheduler_fuzz_test.cpp).
-template <ranking_protocol P>
+template <measurable_protocol P>
 convergence_result measure_convergence_with(
     engine_spec spec, P protocol, std::vector<typename P::agent_state> initial,
     std::uint64_t seed, const convergence_options& opt = {},

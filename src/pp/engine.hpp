@@ -23,9 +23,10 @@
 // such nulls under the uniform scheduler is geometric with success
 // probability W / n(n-1) (W = weight of maybe-active ordered pairs), and
 // the maybe-active pair terminating the run is uniform over the
-// maybe-active set -- both sampled exactly.  Interrupting a geometric skip
-// at an interaction budget and redrawing later is also exact, by
-// memorylessness.  The distribution-equivalence suite
+// maybe-active set -- both sampled exactly.  A geometric skip that runs
+// past an interaction budget is cut there and its remainder kept for the
+// next run() call, so slicing a run into budgets never changes the
+// trajectory.  The distribution-equivalence suite
 // (tests/engine_equivalence_test.cpp) checks this end to end with
 // two-sample KS tests.
 //
@@ -374,16 +375,21 @@ class batched_engine<P, true> {
       if (2 * active >= total) {
         pair = sample_pair(rng_, n_);  // dense regime: skipping cannot win
       } else {
-        const std::uint64_t skip = geometric_failures(
-            rng_, static_cast<double>(active) / static_cast<double>(total));
-        if (counters_) ++counters_->geometric_draws;
-        if (skip >= max_interactions - interactions_) {
-          // The next maybe-active interaction falls beyond the budget; by
-          // memorylessness, stopping here and redrawing later is exact.
-          if (counters_) {
-            counters_->certain_nulls_skipped +=
-                max_interactions - interactions_;
-          }
+        std::uint64_t skip = 0;
+        if (pending_skip_.has_value()) {
+          skip = *pending_skip_;
+          pending_skip_.reset();
+        } else {
+          skip = geometric_failures(
+              rng_, static_cast<double>(active) / static_cast<double>(total));
+          if (counters_) ++counters_->geometric_draws;
+        }
+        const std::uint64_t left = max_interactions - interactions_;
+        if (skip >= left) {
+          // The next maybe-active interaction falls beyond the budget: stop
+          // here and keep the rest of the skip for the next call.
+          if (counters_) counters_->certain_nulls_skipped += left;
+          pending_skip_ = skip - left;
           interactions_ = max_interactions;
           return false;
         }
@@ -485,6 +491,11 @@ class batched_engine<P, true> {
   std::vector<std::uint32_t> bucket_of_;             // agent -> bucket
   std::vector<std::uint32_t> pos_;                   // agent -> slot
   detail::pair_weight_tree weight_;                  // same-key pair weights
+  // Certain nulls left of a skip the last budget cut short.  The
+  // configuration cannot change between run() calls (there are no mutable
+  // agents), so consuming the rest later is exact and a budget-sliced run
+  // matches an unsliced one bit for bit.
+  std::optional<std::uint64_t> pending_skip_;
   obs::engine_counters* counters_ = nullptr;
   obs::timeline_profiler* profiler_ = nullptr;
 };

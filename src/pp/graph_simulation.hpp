@@ -41,9 +41,22 @@ class graph_simulation {
 
   template <class Pred>
   bool run_until(Pred stop, std::uint64_t max_interactions) {
+    return run(max_interactions, [](const agent_pair&) {},
+               [&](const agent_pair&, bool) { return stop(*this); });
+  }
+
+  /// The engines' hooked run (pp/engine.hpp): pre(pair) immediately before
+  /// and post(pair, changed) immediately after every interaction; post
+  /// returns true to stop.  Returns true iff a post stopped the run.
+  template <class Pre, class Post>
+  bool run(std::uint64_t max_interactions, Pre&& pre, Post&& post) {
     while (interactions_ < max_interactions) {
-      step();
-      if (stop(*this)) return true;
+      const agent_pair pair = graph_.sample(rng_);
+      pre(pair);
+      last_changed_ = protocol_.interact(agents_[pair.initiator],
+                                         agents_[pair.responder], rng_);
+      ++interactions_;
+      if (post(pair, last_changed_)) return true;
     }
     return false;
   }

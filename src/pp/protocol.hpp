@@ -56,7 +56,7 @@ concept batch_countable_protocol =
 /// A ranking protocol additionally exposes the rank output field of a state:
 /// 1..n when the agent currently holds a rank, 0 when it does not.  The
 /// measurement harness uses this to track correctness in O(1) per
-/// interaction.  Every protocol in this library is a ranking protocol
+/// interaction.  Every SSLE protocol in this library is a ranking protocol
 /// (Section 1.1 of the paper: all the SSLE protocols work by solving the
 /// harder ranking problem).
 template <class P>
@@ -64,6 +64,16 @@ concept ranking_protocol =
     population_protocol<P> &&
     requires(const P p, const typename P::agent_state& s) {
       { p.rank_of(s) } -> std::convertible_to<std::uint32_t>;
+    };
+
+/// A leader-election protocol exposes only a leader bit per state, no
+/// ranking (loosely-stabilizing LE).  The measurement harness tracks its
+/// correctness, "exactly one leader", in O(1) per interaction.
+template <class P>
+concept leader_election_protocol =
+    population_protocol<P> &&
+    requires(const P p, const typename P::agent_state& s) {
+      { p.is_leader(s) } -> std::convertible_to<bool>;
     };
 
 /// A configuration C : A -> S is stored as a contiguous vector of agent

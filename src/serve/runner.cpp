@@ -77,81 +77,15 @@ void record_phase_names(const P& protocol, const trial_telemetry& tel) {
   }
 }
 
-/// Loose-stabilizing LE has no ranking, so convergence is "a unique leader
-/// emerged"; run the selected engine in bounded bursts so the cancel token
-/// stays responsive.  Tracing is framing-only (the protocol has no phase
-/// hooks): run_start, convergence on the unique leader, run_end.
-template <class Engine>
-double loose_time_with(Engine& engine, const util::sim_request_spec& spec,
-                       const cancel_token* cancel,
-                       const loose_stabilizing_le& protocol,
-                       const trial_telemetry& tel) {
-  if (tel.profiler != nullptr) engine.attach_profiler(tel.profiler);
-  if (tel.counters != nullptr) engine.attach_counters(tel.counters);
-  const auto emit = [&](obs::trace_event_kind kind) {
-    if (tel.trace != nullptr) {
-      tel.trace->emit({kind, engine.parallel_time(), engine.interactions()});
-    }
-  };
-  const auto max_interactions = static_cast<std::uint64_t>(
-      spec.max_time * static_cast<double>(spec.n));
-  const std::uint64_t burst =
-      std::max<std::uint64_t>(std::uint64_t{spec.n} * 64,
-                              std::uint64_t{1} << 22);
-  emit(obs::trace_event_kind::run_start);
-  if (protocol.leader_count(engine.agents()) == 1) {
-    emit(obs::trace_event_kind::convergence);
-    emit(obs::trace_event_kind::run_end);
-    return engine.parallel_time();
-  }
-  while (engine.interactions() < max_interactions) {
-    if (cancel != nullptr) cancel->throw_if_cancelled();
-    const std::uint64_t budget =
-        std::min(max_interactions, engine.interactions() + burst);
-    const bool done = engine.run(
-        budget, [](const agent_pair&) {},
-        [&](const agent_pair&, bool changed) {
-          return changed && protocol.leader_count(engine.agents()) == 1;
-        });
-    if (done) {
-      emit(obs::trace_event_kind::convergence);
-      emit(obs::trace_event_kind::run_end);
-      return engine.parallel_time();
-    }
-  }
-  throw std::runtime_error("loose LE found no unique leader within max_time");
+/// The time of a converged measurement; a trial that did not converge
+/// within max_time fails the job.
+double converged_time(const convergence_result& r, const char* failure) {
+  if (!r.converged) throw std::runtime_error(failure);
+  return r.convergence_time;
 }
 
-double loose_trial(const util::sim_request_spec& spec, std::uint64_t seed,
-                   const cancel_token* cancel, const trial_telemetry& tel) {
-  const auto t_max =
-      spec.t_max > 0
-          ? spec.t_max
-          : static_cast<std::uint32_t>(
-                4 * std::ceil(std::log2(static_cast<double>(spec.n))));
-  loose_stabilizing_le protocol(spec.n, t_max);
-  auto initial = protocol.dead_configuration();
-  switch (spec.engine.kind) {
-    case engine_kind::direct: {
-      direct_engine<loose_stabilizing_le> engine(protocol, std::move(initial),
-                                                 seed);
-      return loose_time_with(engine, spec, cancel, protocol, tel);
-    }
-    case engine_kind::sharded: {
-      sharded_engine<loose_stabilizing_le> engine(
-          protocol, std::move(initial), seed, {.shards = spec.engine.shards});
-      return loose_time_with(engine, spec, cancel, protocol, tel);
-    }
-    case engine_kind::batched:
-      break;
-  }
-  batched_engine<loose_stabilizing_le> engine(protocol, std::move(initial),
-                                              seed);
-  return loose_time_with(engine, spec, cancel, protocol, tel);
-}
-
-double ranking_trial(const util::sim_request_spec& spec, std::uint64_t seed,
-                     const cancel_token* cancel, const trial_telemetry& tel) {
+double run_trial(const util::sim_request_spec& spec, std::uint64_t seed,
+                 const cancel_token* cancel, const trial_telemetry& tel) {
   convergence_options opt;
   opt.max_parallel_time = spec.max_time;
   opt.cancel = cancel;
@@ -187,12 +121,10 @@ double ranking_trial(const util::sim_request_spec& spec, std::uint64_t seed,
     record_phase_names(protocol, tel);
     rng_t rng(seed);
     auto initial = adversarial_configuration(protocol, rng);
-    const auto r = measure_convergence_with(spec.engine, protocol,
-                                            std::move(initial),
-                                            seed ^ 0x5bd1e995, opt);
-    if (!r.converged)
-      throw std::runtime_error("baseline did not converge within max_time");
-    return r.convergence_time;
+    return converged_time(
+        measure_convergence_with(spec.engine, protocol, std::move(initial),
+                                 seed ^ 0x5bd1e995, opt),
+        "baseline did not converge within max_time");
   }
   if (spec.protocol == "optimal") {
     optimal_silent_ssr protocol(spec.n);
@@ -200,13 +132,10 @@ double ranking_trial(const util::sim_request_spec& spec, std::uint64_t seed,
     rng_t rng(seed);
     auto initial = adversarial_configuration(
         protocol, optimal_scenario_of(spec.scenario), rng);
-    const auto r = measure_convergence_with(spec.engine, protocol,
-                                            std::move(initial),
-                                            seed ^ 0x9747b28c, opt);
-    if (!r.converged)
-      throw std::runtime_error(
-          "optimal-silent did not converge within max_time");
-    return r.convergence_time;
+    return converged_time(
+        measure_convergence_with(spec.engine, protocol, std::move(initial),
+                                 seed ^ 0x9747b28c, opt),
+        "optimal-silent did not converge within max_time");
   }
   if (spec.protocol == "sublinear") {
     sublinear_time_ssr protocol(spec.n, spec.h);
@@ -218,12 +147,26 @@ double ranking_trial(const util::sim_request_spec& spec, std::uint64_t seed,
     // window scaled like the bench sweeps do.
     opt.confirm_parallel_time =
         8.0 * std::log2(static_cast<double>(spec.n) + 1.0);
-    const auto r = measure_convergence_with(spec.engine, protocol,
-                                            std::move(initial),
-                                            seed ^ 0x85ebca6b, opt);
-    if (!r.converged)
-      throw std::runtime_error("sublinear did not converge within max_time");
-    return r.convergence_time;
+    return converged_time(
+        measure_convergence_with(spec.engine, protocol, std::move(initial),
+                                 seed ^ 0x85ebca6b, opt),
+        "sublinear did not converge within max_time");
+  }
+  if (spec.protocol == "loose") {
+    const auto t_max =
+        spec.t_max > 0
+            ? spec.t_max
+            : static_cast<std::uint32_t>(
+                  4 * std::ceil(std::log2(static_cast<double>(spec.n))));
+    loose_stabilizing_le protocol(spec.n, t_max);
+    // Loose stabilization keeps its leader only for a finite holding time,
+    // so the measurement is the first entry into exactly one leader: no
+    // confirmation window.  The protocol has no phase hooks; its trace is
+    // run framing plus the convergence marker.
+    return converged_time(
+        measure_convergence_with(spec.engine, protocol,
+                                 protocol.dead_configuration(), seed, opt),
+        "loose LE found no unique leader within max_time");
   }
   throw std::runtime_error("unvalidated protocol: " + spec.protocol);
 }
@@ -286,9 +229,7 @@ std::shared_ptr<const obs::json_value> run_simulation(
           tel.trace = &telemetry->trace;
           tel.phase_names = &telemetry->phase_names;
         }
-        const double time = spec.protocol == "loose"
-                                ? loose_trial(spec, seed, cancel, tel)
-                                : ranking_trial(spec, seed, cancel, tel);
+        const double time = run_trial(spec, seed, cancel, tel);
         if (on_trial) on_trial(++completed, spec.trials);
         return time;
       },

@@ -15,7 +15,11 @@
 //
 // Cancellation: the token is polled between trials (pp/trial.hpp) and
 // between engine bursts (pp/convergence.hpp); a fired token surfaces as
-// cancelled_error, which the job queue maps to a cancelled job.
+// cancelled_error, which the job queue maps to a cancelled job.  A token
+// that never fires leaves the samples bit-identical to an uncancellable
+// run's, except on the sharded engine and for sublinear on the batched
+// block path, where bursts change the trajectory but not its distribution
+// (convergence_options::cancel in pp/convergence.hpp).
 #pragma once
 
 #include <cstdint>

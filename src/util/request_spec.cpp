@@ -289,8 +289,15 @@ std::vector<spec_error> spec_builder::finalize() {
     errors.push_back({"n", "population size must be at least 2"});
   if (spec_.trials == 0)
     errors.push_back({"trials", "trial count must be positive"});
-  if (!(spec_.max_time > 0.0))
+  if (!(spec_.max_time > 0.0)) {
     errors.push_back({"max_time", "parallel-time budget must be positive"});
+  } else if (spec_.max_time * static_cast<double>(spec_.n) >=
+             18446744073709551616.0) {
+    // Run loops cap a trial at max_time * n interactions, a 64-bit count.
+    errors.push_back({"max_time", "max_time * n must stay below 2^64 "
+                                  "interactions (n=" +
+                                      std::to_string(spec_.n) + ")"});
+  }
   if (protocol_known && spec_.protocol == "sublinear" && spec_.h == 0)
     errors.push_back({"h", "sublinear history depth must be at least 1"});
 

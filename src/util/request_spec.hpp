@@ -79,6 +79,8 @@ std::span<const std::string_view> scenario_names(std::string_view protocol);
 ///   * protocol and engine names must be known (nearest-name suggestion);
 ///   * the scenario must belong to the protocol's scenario set;
 ///   * n >= 2, trials >= 1, max_time > 0, h >= 1 for sublinear;
+///   * max_time * n < 2^64, since run loops cap a trial at that many
+///     interactions in a 64-bit count;
 ///   * shards may only be given with engine=sharded, and an explicit
 ///     shards=0 is rejected (omit the field for hardware concurrency) --
 ///     nothing is silently clamped or ignored.

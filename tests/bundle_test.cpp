@@ -118,6 +118,56 @@ TEST(Scenario, FieldErrorsMatchGolden) {
       << "regenerate with the printed text if the diagnostics changed";
 }
 
+TEST(Scenario, InteractionCapOverflowFailsLikeTheWire) {
+  // max_time * n >= 2^64 is one max_time field error in a scenario file
+  // and on the wire, with util::spec_builder's message.
+  const std::string message =
+      "max_time * n must stay below 2^64 interactions (n=30000)";
+  std::vector<util::spec_error> errors;
+  EXPECT_FALSE(obs::parse_scenario_text(
+                   R"({"schema":"ssr.scenario","schema_version":1,
+                       "name":"overflow","protocol":"loose","n":30000,
+                       "max_time":1e15})",
+                   &errors)
+                   .has_value());
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0], (util::spec_error{"max_time", message}));
+
+  serve::service service({.workers = 1});
+  const obs::json_value response = service.handle_line(
+      R"({"type":"run","protocol":"loose","n":30000,"max_time":1e15})");
+  const obs::json_value* field_errors = response.find("field_errors");
+  ASSERT_NE(field_errors, nullptr) << response.dump(2);
+  ASSERT_EQ(field_errors->size(), 1u);
+  EXPECT_EQ(field_errors->at(0).find("field")->as_string(), "max_time");
+  EXPECT_EQ(field_errors->at(0).find("message")->as_string(), message);
+}
+
+TEST(Scenario, EveryShippedExampleRuns) {
+  // Each examples/scenarios/*.json parses and runs to completion the way
+  // `ssr_cli run` executes it, telemetry included.
+  std::size_t examples = 0;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(SSR_SCENARIO_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    ++examples;
+    const std::string path = entry.path().string();
+    std::vector<util::spec_error> errors;
+    const std::optional<obs::scenario_doc> doc =
+        obs::parse_scenario_text(slurp(path), &errors);
+    ASSERT_TRUE(doc.has_value()) << path << ": " << util::render_errors(errors);
+    std::optional<serve::request_telemetry> telemetry;
+    if (doc->telemetry.any()) telemetry.emplace(doc->telemetry);
+    obs::engine_counters counters;
+    const std::shared_ptr<const obs::json_value> result =
+        serve::run_simulation(doc->spec, nullptr, nullptr,
+                              telemetry.has_value() ? &*telemetry : nullptr,
+                              &counters);
+    EXPECT_EQ(result->find("samples")->size(), doc->spec.trials) << path;
+  }
+  EXPECT_GE(examples, 3u);
+}
+
 TEST(Scenario, RejectsWrongSchemaAndVersion) {
   std::vector<util::spec_error> errors;
   EXPECT_FALSE(obs::parse_scenario_text(

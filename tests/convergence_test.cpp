@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "protocols/loose_stabilizing.hpp"
 #include "protocols/silent_n_state.hpp"
 
 namespace ssr {
@@ -49,6 +50,96 @@ TEST(RankTracker, NoOpUpdateKeepsState) {
   t.add(2);
   t.update(1, 1);
   EXPECT_TRUE(t.correct());
+}
+
+TEST(LeaderTracker, CountsLeaders) {
+  leader_tracker t;
+  EXPECT_EQ(t.count(), 0u);
+  EXPECT_FALSE(t.correct());
+  t.add(false);
+  t.add(true);
+  t.add(false);
+  EXPECT_EQ(t.count(), 1u);
+  EXPECT_TRUE(t.correct());
+  t.add(true);
+  EXPECT_EQ(t.count(), 2u);
+  EXPECT_FALSE(t.correct());
+}
+
+TEST(LeaderTracker, UpdatesApplyBitFlips) {
+  leader_tracker t;
+  t.add(true);
+  t.add(true);
+  t.update(true, false);  // l,l -> l,f
+  EXPECT_EQ(t.count(), 1u);
+  EXPECT_TRUE(t.correct());
+  t.update(true, false);  // the last leader lost
+  EXPECT_EQ(t.count(), 0u);
+  EXPECT_FALSE(t.correct());
+  t.update(false, true);  // a timeout promotes a follower
+  EXPECT_TRUE(t.correct());
+}
+
+TEST(LeaderTracker, NoOpUpdatesKeepTheCount) {
+  leader_tracker t;
+  t.add(true);
+  t.add(false);
+  t.update(true, true);
+  t.update(false, false);
+  EXPECT_EQ(t.count(), 1u);
+  EXPECT_TRUE(t.correct());
+}
+
+TEST(LeaderTracker, MatchesLeaderCountAfterEveryInteraction) {
+  // Fed the two pre-interaction leader bits, the tracker must equal a full
+  // recount after every interaction of a run, changed or not.
+  const loose_stabilizing_le p(40, 6);
+  direct_engine<loose_stabilizing_le> engine(p, p.dead_configuration(), 17);
+  leader_tracker t;
+  for (const auto& s : engine.agents()) t.add(p.is_leader(s));
+  bool pre_a = false, pre_b = false;
+  std::uint64_t mismatches = 0, flips = 0;
+  engine.run(
+      200'000,
+      [&](const agent_pair& pair) {
+        pre_a = p.is_leader(engine.agents()[pair.initiator]);
+        pre_b = p.is_leader(engine.agents()[pair.responder]);
+      },
+      [&](const agent_pair& pair, bool changed) {
+        if (changed) {
+          const std::uint64_t before = t.count();
+          t.update(pre_a, p.is_leader(engine.agents()[pair.initiator]));
+          t.update(pre_b, p.is_leader(engine.agents()[pair.responder]));
+          flips += t.count() != before ? 1 : 0;
+        }
+        mismatches += t.count() != p.leader_count(engine.agents()) ? 1 : 0;
+        return false;
+      });
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(flips, 100u);  // a small timeout keeps re-electing
+}
+
+TEST(MeasureConvergence, LooseStopsAtTheFirstUniqueLeader) {
+  // Leader-election protocols converge on the first entry into exactly one
+  // leader: the run stops there, with the configuration holding one leader.
+  const loose_stabilizing_le p(32, 20);
+  std::vector<loose_stabilizing_le::agent_state> final_config;
+  const convergence_result r =
+      measure_convergence(p, p.dead_configuration(), 5, {}, &final_config);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(p.leader_count(final_config), 1u);
+  EXPECT_DOUBLE_EQ(r.convergence_time,
+                   static_cast<double>(r.interactions) / 32.0);
+
+  // The same seed stepped by hand reaches its first unique leader at the
+  // same interaction.
+  direct_engine<loose_stabilizing_le> engine(p, p.dead_configuration(), 5);
+  engine.run(
+      r.interactions + 1, [](const agent_pair&) {},
+      [&](const agent_pair&, bool) {
+        return p.leader_count(engine.agents()) == 1;
+      });
+  EXPECT_EQ(engine.interactions(), r.interactions);
 }
 
 TEST(MeasureConvergence, BaselineFromAllZero) {

@@ -144,14 +144,11 @@ std::vector<double> loose_sample(engine_spec spec, std::uint64_t base,
       trials, base,
       [=](std::uint64_t s, engine_kind) -> double {
         loose_stabilizing_le p(n, t_max);
-        return drive_loose(spec, p, s, [&](auto& eng) -> double {
-          const auto done = eng.run(
-              std::uint64_t{200'000} * n, [](const agent_pair&) {},
-              [&](const agent_pair&, bool changed) {
-                return changed && p.leader_count(eng.agents()) == 1;
-              });
-          return done ? eng.parallel_time() : -1.0;
-        });
+        convergence_options opt;
+        opt.max_parallel_time = 200'000;
+        const convergence_result r = measure_convergence_with(
+            spec, p, p.dead_configuration(), s, opt);
+        return r.converged ? r.convergence_time : -1.0;
       },
       {.parallel = true, .engine = spec});
 }

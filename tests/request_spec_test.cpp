@@ -118,6 +118,23 @@ TEST(RequestSpec, NumericBoundsProduceStableFieldOrder) {
             (spec_error{"h", "sublinear history depth must be at least 1"}));
 }
 
+TEST(RequestSpec, InteractionCapMustFitIn64Bits) {
+  // A trial runs at most max_time * n interactions, a 64-bit count: loose
+  // LE at n=30000 with max_time 1e15 asks for 3e19 > 2^64.
+  spec_builder builder;
+  builder.set_protocol("loose");
+  builder.set_n(30000);
+  builder.set_max_time(1e15);
+  const auto errors = builder.finalize();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0],
+            (spec_error{"max_time",
+                        "max_time * n must stay below 2^64 interactions "
+                        "(n=30000)"}));
+  builder.set_max_time(6e14);  // 1.8e19 interactions, below 2^64
+  EXPECT_TRUE(builder.finalize().empty());
+}
+
 TEST(RequestSpec, BadIntegerTextIsAFieldError) {
   spec_builder builder;
   builder.set_u64_text("n", "12x");

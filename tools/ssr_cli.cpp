@@ -841,6 +841,16 @@ int drive(const options& opt, const P& protocol,
   return 1;
 }
 
+/// Runs `sim` (an engine or graph_simulation) until exactly one agent is a
+/// leader, checked after every interaction, or for `budget` interactions.
+template <class Sim, class OnStep>
+bool run_to_unique_leader(Sim& sim, std::uint64_t budget, OnStep&& on_step) {
+  leader_tracker leaders;
+  for (const auto& s : sim.agents()) leaders.add(sim.protocol().is_leader(s));
+  return run_until_unique_leader_is(sim, leaders, true, budget,
+                                    std::forward<OnStep>(on_step));
+}
+
 /// Loose LE has no ranking notion; run until a unique leader, report.
 template <class Engine>
 int drive_loose_engine(const options& opt, const loose_stabilizing_le& p,
@@ -871,14 +881,13 @@ int drive_loose_engine(const options& opt, const loose_stabilizing_le& p,
                eng.interactions()});
   bool done = p.leader_count(eng.agents()) == 1;
   if (!done) {
-    done = eng.run(
+    done = run_to_unique_leader(
+        eng,
         static_cast<std::uint64_t>(opt.max_time *
                                    static_cast<double>(opt.n)),
-        [](const agent_pair&) {},
-        [&](const agent_pair&, bool changed) {
+        [&] {
           if ((eng.interactions() & 0xffff) == 0)
             progress.update(eng.parallel_time(), eng.interactions());
-          return changed && p.leader_count(eng.agents()) == 1;
         });
   }
   progress.finish(eng.parallel_time(), eng.interactions());
@@ -1011,6 +1020,18 @@ int cmd_run(std::span<char* const> args) {
   }
   const util::sim_request_spec& spec = scenario->spec;
   const std::string fingerprint = spec.canonical();
+
+  // One bundle per directory: a second run would append to the journal
+  // and leave a manifest that vouches for the mix.
+  for (const char* name :
+       {"bundle_manifest.json", "run.json", "events.jsonl"}) {
+    const std::string existing = out_dir + "/" + name;
+    if (std::filesystem::exists(existing)) {
+      std::cerr << "error: --out '" << out_dir << "' already holds a bundle ("
+                << existing << "); pass a fresh directory\n";
+      return 2;
+    }
+  }
 
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
@@ -1366,12 +1387,11 @@ int main(int argc, char** argv) {
                                                opt.seed);
     std::cout << "t=0.0: " << summarize_configuration(p, sim.agents())
               << '\n';
-    const bool done = sim.run_until(
-        [&](const graph_simulation<loose_stabilizing_le>& s) {
-          return s.protocol().leader_count(s.agents()) == 1;
-        },
+    const bool done = run_to_unique_leader(
+        sim,
         static_cast<std::uint64_t>(opt.max_time *
-                                   static_cast<double>(opt.n)));
+                                   static_cast<double>(opt.n)),
+        [] {});
     std::cout << "t=" << sim.parallel_time() << ": "
               << summarize_configuration(p, sim.agents()) << '\n';
     write_summary(opt, done, sim.parallel_time(), sim.interactions(),
