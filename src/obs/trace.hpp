@@ -135,6 +135,18 @@ concept phase_instrumented_protocol =
       { P::obs_phase_is_reset(i) } -> std::convertible_to<bool>;
     };
 
+/// P's phase-name table, the one its traces are written with; empty for
+/// protocols without phase hooks.
+template <class P>
+std::vector<std::string_view> phase_names(const P& protocol) {
+  std::vector<std::string_view> names;
+  if constexpr (phase_instrumented_protocol<P>) {
+    for (std::uint32_t ph = 0; ph < protocol.obs_phase_count(); ++ph)
+      names.push_back(P::obs_phase_name(ph));
+  }
+  return names;
+}
+
 /// Incremental phase-occupancy tracker + event source.  Wire it into an
 /// engine run as
 ///
@@ -218,11 +230,7 @@ class phase_observer {
   std::uint64_t resetting() const { return resetting_; }
 
   std::vector<std::string_view> phase_names() const {
-    std::vector<std::string_view> names(occupancy_.size());
-    for (std::uint32_t ph = 0; ph < names.size(); ++ph) {
-      names[ph] = P::obs_phase_name(ph);
-    }
-    return names;
+    return obs::phase_names(protocol_);
   }
 
  private:

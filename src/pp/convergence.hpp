@@ -273,10 +273,6 @@ class phase_convergence_tracer {
     observer_.correctness_lost(time, interaction);
   }
 
-  std::vector<std::string_view> phase_names() const {
-    return observer_.phase_names();
-  }
-
  private:
   obs::phase_observer<P> observer_;
 };

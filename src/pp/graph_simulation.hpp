@@ -1,7 +1,9 @@
 // Simulation under a non-complete interaction graph: identical to
 // simulation<P> except the scheduler draws a uniformly random *edge*
 // (uniformly oriented) instead of a uniform ordered pair.  On the complete
-// graph the two are the same distribution.
+// graph the two are the same distribution.  It is a simulation_engine
+// (pp/engine.hpp), so the run core (pp/convergence.hpp) measures graph
+// runs the way it measures the uniform-scheduler engines.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,7 @@ namespace ssr {
 template <population_protocol P>
 class graph_simulation {
  public:
+  using protocol_type = P;
   using agent_state = typename P::agent_state;
 
   graph_simulation(P protocol, interaction_graph graph,
@@ -69,6 +72,7 @@ class graph_simulation {
     return static_cast<double>(interactions_) / population_size();
   }
   bool last_step_changed() const { return last_changed_; }
+  bool quiescent() const { return false; }  // no structural knowledge
 
   std::span<const agent_state> agents() const { return agents_; }
   std::span<agent_state> mutable_agents() { return agents_; }

@@ -357,4 +357,18 @@ std::string to_string(sublinear_scenario scenario) {
   return "unknown";
 }
 
+template <class Scenario>
+std::optional<Scenario> scenario_named(std::string_view name) {
+  // valid_ranking is the last enumerator of both scenario types.
+  for (int s = 0; s <= static_cast<int>(Scenario::valid_ranking); ++s) {
+    if (to_string(static_cast<Scenario>(s)) == name)
+      return static_cast<Scenario>(s);
+  }
+  return std::nullopt;
+}
+
+template std::optional<optimal_silent_scenario> scenario_named(
+    std::string_view);
+template std::optional<sublinear_scenario> scenario_named(std::string_view);
+
 }  // namespace ssr

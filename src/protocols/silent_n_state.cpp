@@ -45,7 +45,14 @@ void accelerated_silent_n_state::step() {
   // non-null one.  Conditioned on being non-null, the interacting pair is
   // uniform over active ordered pairs, which (by symmetry within a rank)
   // reduces to choosing the rank r with probability c_r(c_r-1)/A.
-  interactions_ += geometric_failures(rng_, p) + 1;
+  const std::uint64_t nulls = geometric_failures(rng_, p);
+  interactions_ += nulls + 1;
+  if (counters_ != nullptr) {
+    counters_->certain_nulls_skipped += nulls;
+    ++counters_->interactions_executed;
+    ++counters_->transitions_changed;
+    ++counters_->geometric_draws;
+  }
 
   std::uint64_t u = uniform_below(rng_, active_pairs_);
   std::uint32_t r = 0;
@@ -74,7 +81,17 @@ void accelerated_silent_n_state::step() {
 
 double accelerated_silent_n_state::run_to_stabilization() {
   while (!stable()) step();
-  return static_cast<double>(interactions_) / static_cast<double>(n_);
+  return parallel_time();
+}
+
+bool accelerated_silent_n_state::run_until_stable(
+    std::uint64_t max_interactions, const cancel_token* cancel) {
+  for (std::uint64_t steps = 0; !stable() && interactions_ < max_interactions;
+       ++steps) {
+    if (cancel != nullptr && steps % 1024 == 0) cancel->throw_if_cancelled();
+    step();
+  }
+  return stable() && interactions_ < max_interactions;
 }
 
 }  // namespace ssr

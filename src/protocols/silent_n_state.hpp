@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/engine_counters.hpp"
+#include "pp/cancellation.hpp"
 #include "pp/protocol.hpp"
 #include "pp/rng.hpp"
 
@@ -108,7 +110,26 @@ class accelerated_silent_n_state {
   /// at stabilization (counting the skipped null interactions).
   double run_to_stabilization();
 
+  /// The same run, bounded: executes non-null transitions until stable or
+  /// until the count reaches `max_interactions`, polling `cancel` every
+  /// 1024 transitions (a fired token throws cancelled_error).  A geometric
+  /// skip is never cut, so the last transition may land past the cap and
+  /// the trajectory is run_to_stabilization()'s.  Returns true iff the
+  /// configuration became stable before interaction `max_interactions`.
+  bool run_until_stable(std::uint64_t max_interactions,
+                        const cancel_token* cancel = nullptr);
+
+  /// Attaches (or with nullptr detaches) an event-counter sink: every
+  /// transition is one executed, state-changing interaction and one
+  /// geometric draw, and the nulls it jumps over are skipped certain nulls.
+  void attach_counters(obs::engine_counters* counters) {
+    counters_ = counters;
+  }
+
   std::uint64_t interactions() const { return interactions_; }
+  double parallel_time() const {
+    return static_cast<double>(interactions_) / static_cast<double>(n_);
+  }
 
  private:
   void step();
@@ -122,6 +143,7 @@ class accelerated_silent_n_state {
   std::uint64_t collisions_ = 0;
   std::uint64_t interactions_ = 0;
   rng_t rng_;
+  obs::engine_counters* counters_ = nullptr;
 };
 
 }  // namespace ssr

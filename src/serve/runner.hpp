@@ -1,11 +1,11 @@
 // Executes one validated simulation request and renders its result JSON.
 //
 // This is the bridge between the service scheduler and the measurement
-// substrate: a validated util::sim_request_spec maps onto the same
-// protocol constructions, adversarial scenarios, and engine selection the
-// bench helpers use (bench/common.cpp), run through run_trials with
-// sequential per-job execution -- the serve worker pool is the
-// concurrency, so one job never fans out internally.
+// substrate: a validated util::sim_request_spec maps onto one trial recipe
+// per trial seed (serve/trial_recipe.hpp, which ssr_cli's flag mode runs
+// too), run through run_trials with sequential per-job execution -- the
+// serve worker pool is the concurrency, so one job never fans out
+// internally.
 //
 // Determinism contract: the result document is a pure function of the
 // spec.  Trial seeds derive from spec.seed exactly as in every bench
@@ -13,8 +13,9 @@
 // the JSON layout contains no timestamps -- which is what lets the result
 // cache serve bit-identical replays.
 //
-// Cancellation: the token is polled between trials (pp/trial.hpp) and
-// between engine bursts (pp/convergence.hpp); a fired token surfaces as
+// Cancellation: the token is polled between trials (pp/trial.hpp), between
+// engine bursts (pp/convergence.hpp) and every 1024 transitions of
+// baseline's jump simulator on "direct"; a fired token surfaces as
 // cancelled_error, which the job queue maps to a cancelled job.  A token
 // that never fires leaves the samples bit-identical to an uncancellable
 // run's, except on the sharded engine and for sublinear on the batched

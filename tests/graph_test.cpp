@@ -10,6 +10,7 @@
 #include "pp/trial.hpp"
 
 #include "pp/graph_simulation.hpp"
+#include "protocols/loose_stabilizing.hpp"
 #include "protocols/silent_n_state.hpp"
 
 namespace ssr {
@@ -146,6 +147,50 @@ TEST(GraphSimulation, CompleteGraphSchedulerMatchesPairScheduler) {
   });
   const auto ks = ks_two_sample(pair_sched, edge_sched);
   EXPECT_GT(ks.p_value, 0.001) << "KS statistic " << ks.statistic;
+}
+
+TEST(GraphSimulation, RunCoreStopsAtTheFirstCorrectConfiguration) {
+  // graph_simulation is a simulation_engine, so the run core measures
+  // graph runs; for a silent protocol and for loose LE the measurement is
+  // the first correct configuration a per-interaction check finds on the
+  // same trajectory.
+  static_assert(simulation_engine<graph_simulation<silent_n_state_ssr>>);
+  const std::uint32_t n = 8;
+  const silent_n_state_ssr baseline(n);
+  const loose_stabilizing_le loose(16, 12);
+  int ranked = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    graph_simulation<silent_n_state_ssr> measured(
+        baseline, interaction_graph::erdos_renyi(n, 0.9, seed),
+        std::vector<silent_n_state_ssr::agent_state>(n), seed);
+    graph_simulation<silent_n_state_ssr> checked = measured;
+    const convergence_result result = measure_convergence_run(
+        measured, convergence_options{.max_parallel_time = 1e5});
+    const bool done = checked.run_until(
+        [](const graph_simulation<silent_n_state_ssr>& s) {
+          return is_valid_ranking(s.protocol(), s.agents());
+        },
+        std::uint64_t{100'000} * n);
+    EXPECT_EQ(result.converged, done) << seed;
+    if (done) {
+      EXPECT_EQ(result.convergence_time, checked.parallel_time()) << seed;
+      ++ranked;
+    }
+
+    graph_simulation<loose_stabilizing_le> leaders(
+        loose, interaction_graph::star(16), loose.dead_configuration(), seed);
+    graph_simulation<loose_stabilizing_le> counted = leaders;
+    const convergence_result elected = measure_convergence_run(
+        leaders, convergence_options{.max_parallel_time = 1e4});
+    ASSERT_TRUE(elected.converged) << seed;
+    counted.run_until(
+        [&](const graph_simulation<loose_stabilizing_le>& s) {
+          return loose.leader_count(s.agents()) == 1;
+        },
+        elected.interactions);
+    EXPECT_EQ(elected.convergence_time, counted.parallel_time()) << seed;
+  }
+  EXPECT_GT(ranked, 0);
 }
 
 TEST(GraphSimulation, RejectsSizeMismatch) {

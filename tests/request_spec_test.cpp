@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "protocols/adversary.hpp"
 
 namespace ssr::util {
 namespace {
@@ -189,6 +193,28 @@ TEST(RequestSpec, NameTablesCoverEveryProtocol) {
     EXPECT_FALSE(scenario_names(protocol).empty()) << protocol;
   }
   EXPECT_TRUE(scenario_names("bogus").empty());
+}
+
+template <class Scenario>
+void expect_names_match_generators(std::string_view protocol) {
+  const std::span<const std::string_view> names = scenario_names(protocol);
+  for (const std::string_view name : names) {
+    const std::optional<Scenario> scenario = scenario_named<Scenario>(name);
+    ASSERT_TRUE(scenario.has_value()) << protocol << " " << name;
+    EXPECT_EQ(to_string(*scenario), name);
+  }
+  // valid_ranking is the last enumerator of both scenario types.
+  for (int s = 0; s <= static_cast<int>(Scenario::valid_ranking); ++s) {
+    const std::string name = to_string(static_cast<Scenario>(s));
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << protocol << " " << name;
+  }
+}
+
+TEST(RequestSpec, ScenarioNamesMatchTheGenerators) {
+  // The validation list and the adversary's names cannot drift apart.
+  expect_names_match_generators<optimal_silent_scenario>("optimal");
+  expect_names_match_generators<sublinear_scenario>("sublinear");
 }
 
 // -- canonical() fingerprints: what the serve result cache keys on. ------

@@ -1,12 +1,17 @@
 // The serve runner (serve/runner.hpp) runs every protocol's trials through
-// the one run core, pp/convergence.hpp.  Loose LE's samples stay pinned to
-// the values its former private loop produced; a traced loose trial is run
+// the one run core, pp/convergence.hpp, except baseline on "direct", which
+// runs the exact jump simulator.  Loose LE's samples stay pinned to the
+// values its former private loop produced; a traced loose trial is run
 // framing plus the convergence marker; a fired cancel token aborts a loose
 // trial; and a cancel token that never fires changes no sample on any
-// engine path but the sharded one.
+// engine path but the sharded one.  The jump simulator keeps its samples,
+// honours max_time and the token, and traces its real interaction count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/engine_counters.hpp"
@@ -16,6 +21,7 @@
 #include "pp/cancellation.hpp"
 #include "pp/convergence.hpp"
 #include "protocols/loose_stabilizing.hpp"
+#include "protocols/silent_n_state.hpp"
 #include "serve/request_context.hpp"
 #include "serve/runner.hpp"
 #include "util/request_spec.hpp"
@@ -109,6 +115,75 @@ TEST(Runner, FiredTokenAbortsALooseTrial) {
                cancelled_error);
 }
 
+TEST(Runner, BaselineDirectSamplesArePinned) {
+  // Captured before the jump simulator gained its cap and token polls.
+  const run_output out =
+      run(make_spec("baseline", "uniform_random", 200, 3, 3,
+                    engine_kind::direct));
+  EXPECT_EQ(out.samples, (std::vector<double>{18250.985, 18695.45, 21774.34}));
+  // Every transition is an executed interaction; the skipped nulls make up
+  // the rest of the simulated time, 200 interactions per time unit.
+  const auto counter = [&](const char* key) {
+    return out.counters.find(key)->as_uint64();
+  };
+  EXPECT_EQ(counter("interactions_executed") + counter("certain_nulls_skipped"),
+            3650197u + 3739090u + 4354868u);
+  EXPECT_EQ(counter("transitions_changed"), counter("interactions_executed"));
+}
+
+TEST(Runner, BaselineDirectFailsPastMaxTimeLikeBatched) {
+  // The jump simulator stops at max_time * n interactions, with the
+  // batched path's failure.
+  for (const engine_kind engine : {engine_kind::direct, engine_kind::batched}) {
+    util::sim_request_spec spec =
+        make_spec("baseline", "uniform_random", 200, 3, 3, engine);
+    spec.max_time = 1;
+    try {
+      run(spec);
+      ADD_FAILURE() << to_string(engine) << " converged within max_time 1";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "baseline did not converge within max_time")
+          << to_string(engine);
+    }
+  }
+}
+
+TEST(Runner, FiredTokenAbortsABaselineDirectTrial) {
+  cancel_token token;
+  token.request_cancel();
+  EXPECT_THROW(run(make_spec("baseline", "uniform_random", 200, 1, 3,
+                             engine_kind::direct),
+                   &token),
+               cancelled_error);
+
+  // Inside a trial: the jump simulator polls before its first transition.
+  accelerated_silent_n_state sim(200, std::vector<std::uint32_t>(200, 0), 3);
+  EXPECT_THROW(
+      sim.run_until_stable(std::numeric_limits<std::uint64_t>::max(), &token),
+      cancelled_error);
+  EXPECT_EQ(sim.interactions(), 0u);
+}
+
+TEST(Runner, TracedBaselineDirectTrialCountsItsInteractions) {
+  util::telemetry_spec options;
+  options.trace = true;
+  request_telemetry telemetry(options);
+  const run_output out =
+      run(make_spec("baseline", "uniform_random", 64, 2, 5,
+                    engine_kind::direct),
+          nullptr, &telemetry);
+  const double time = out.samples[0];
+  const auto interactions = static_cast<std::uint64_t>(time * 64);
+  EXPECT_GT(interactions, 0u);
+  EXPECT_EQ(static_cast<double>(interactions) / 64, time);
+  EXPECT_EQ(telemetry.trace.events(),
+            (std::vector<obs::trace_event>{
+                {obs::trace_event_kind::run_start, 0.0, 0},
+                {obs::trace_event_kind::convergence, time, interactions},
+                {obs::trace_event_kind::run_end, time, interactions}}));
+}
+
 TEST(Runner, NeverFiredTokenChangesNoSample) {
   // A token makes the run core cut trials into bursts of max(64 n, 2^22)
   // interactions.  Every spec here runs past one burst, so each engine
@@ -116,10 +191,14 @@ TEST(Runner, NeverFiredTokenChangesNoSample) {
   // keeps the rest of a cut geometric skip, and the direct engine and the
   // block scheduler (loose on batched) resume their pair stream.
   // The block path's batches_drawn may differ: a cut shortens a batch.
+  // Baseline on direct is the jump simulator, which polls every 1024
+  // transitions and never cuts a skip.
   cancel_token token;
   const util::sim_request_spec specs[] = {
       make_spec("baseline", "uniform_random", 256, 2, 11,
                 engine_kind::batched),
+      make_spec("baseline", "uniform_random", 256, 2, 11,
+                engine_kind::direct),
       make_spec("optimal", "uniform_random", 900, 1, 4, engine_kind::direct),
       make_spec("loose", "dead_configuration", 3000, 1, 3,
                 engine_kind::batched),
@@ -140,6 +219,8 @@ TEST(Runner, NeverFiredTokenChangesNoSample) {
                   counter(plain, "certain_nulls_skipped"),
               spec.trials * (std::uint64_t{1} << 22))
         << spec.canonical() << " never crossed a burst boundary";
+    EXPECT_GT(counter(plain, "interactions_executed"), spec.trials * 1024)
+        << spec.canonical() << " never crossed a poll of the jump simulator";
   }
 }
 

@@ -274,8 +274,8 @@ TEST(ServeTelemetry, JournalRecordsDeadlineExpired) {
   EXPECT_EQ(response.find("error")->as_string(), "deadline_exceeded");
   EXPECT_NE(response.find("request_id"), nullptr);
 
-  const obs::json_value* expired =
-      find_event(journal_lines(journal_text.str()), "deadline_expired");
+  const std::vector<obs::json_value> lines = journal_lines(journal_text.str());
+  const obs::json_value* expired = find_event(lines, "deadline_expired");
   ASSERT_NE(expired, nullptr);
   EXPECT_EQ(expired->find("request_id")->as_string(), "job-1");
   EXPECT_NE(expired->find("elapsed_ms"), nullptr);

@@ -169,6 +169,28 @@ TEST(AcceleratedSilentNState, QuadraticScalingFromLowerBoundConfig) {
   EXPECT_LT(ratio, 6.5);
 }
 
+TEST(AcceleratedSilentNState, BoundedRunFollowsTheUnboundedTrajectory) {
+  // A never-fired token and a cap past the end change nothing; a run
+  // stabilizes within a cap only if it does so before the capped
+  // interaction, as in the run core (pp/convergence.hpp).
+  const std::uint32_t n = 40;
+  const std::vector<std::uint32_t> ranks(n, 0);
+  const cancel_token token;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    accelerated_silent_n_state unbounded(n, ranks, seed);
+    const double time = unbounded.run_to_stabilization();
+    const std::uint64_t end = unbounded.interactions();
+
+    accelerated_silent_n_state polled(n, ranks, seed);
+    EXPECT_TRUE(polled.run_until_stable(end + 1, &token));
+    EXPECT_EQ(polled.parallel_time(), time);
+
+    accelerated_silent_n_state capped(n, ranks, seed);
+    EXPECT_FALSE(capped.run_until_stable(end - 1));
+    EXPECT_EQ(capped.interactions(), end);  // the last skip is not cut
+  }
+}
+
 TEST(AcceleratedSilentNState, RejectsOutOfRangeRanks) {
   std::vector<std::uint32_t> ranks{0, 9};
   EXPECT_THROW(accelerated_silent_n_state(2, ranks, 1), std::logic_error);

@@ -10,6 +10,19 @@
 //   ssr_cli --protocol=loose --n=64 --t-max=40
 //   ssr_cli --protocol=optimal --n=64 --json=run.json --trace-out=run.jsonl
 //
+// The flag mode is trial 0 of the one-trial `ssr_cli run` scenario with the
+// same fields: the same trial recipe (serve/trial_recipe.hpp) builds the
+// protocol, start configuration and engine seed from the trial seed
+// derive_seed(--seed, 0), and the same run core (measure_convergence_run in
+// pp/convergence.hpp) measures the last entry into the correct set.  So the
+// reported time is that scenario's samples[0], except for baseline on
+// --engine=direct, where `ssr_cli run` uses the exact jump simulator and
+// this mode steps direct_engine.  --engine picks the engine over the
+// complete graph; --graph=ring|star|path|gnp runs the same core on
+// graph_simulation.  --trace-every and --progress cut the run at
+// checkpoints, which keeps the trajectory on the direct engine and the
+// count engine but not on the block path or the sharded engine.
+//
 // Bundle subcommands (docs/bundles.md):
 //
 //   ssr_cli run <scenario.json> --out <dir>       scenario -> run bundle
@@ -23,22 +36,24 @@
 //
 // --json writes a machine-readable run summary (verdict, parallel time,
 // engine counters); --trace-out writes the structured event stream
-// (obs/trace.hpp) as JSONL.  Tracing observes interactions through the
-// engine hook API, so it requires the complete graph and routes the run
-// through direct_engine/batched_engine/sharded_engine per --engine.
-// --engine=sharded runs the sharded engine's sequential hooked mode (the
-// CLI's summaries and verdict need per-interaction hooks); its threaded
-// run_parallel twin is exercised by bench_engine_scaling and the TSan test
-// suite and is bit-identical by construction (pp/sharded_scheduler.hpp).
+// (obs/trace.hpp) as JSONL.  Tracing and profiling attach to the engine,
+// so they need the complete graph.  --engine=sharded runs the sharded
+// engine's sequential hooked mode (the run core needs per-interaction
+// hooks); its threaded run_parallel twin is exercised by
+// bench_engine_scaling and the TSan test suite and is bit-identical by
+// construction (pp/sharded_scheduler.hpp).
 //
-// Exit code 0 iff the run reached a correct configuration.
+// Exit code 0 iff the run reached a correct configuration; 2 on bad usage.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iomanip>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -57,12 +72,16 @@
 #include "obs/scenario.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
+#include "pp/convergence.hpp"
+#include "pp/engine.hpp"
+#include "pp/graph.hpp"
 #include "pp/graph_simulation.hpp"
-#include "protocols/adversary.hpp"
+#include "pp/sharded_scheduler.hpp"
 #include "protocols/describe.hpp"
+#include "protocols/serialize.hpp"
 #include "serve/request_context.hpp"
 #include "serve/runner.hpp"
-#include "ssr.hpp"
+#include "serve/trial_recipe.hpp"
 #include "util/edit_distance.hpp"
 #include "util/request_spec.hpp"
 
@@ -71,15 +90,11 @@ namespace {
 using namespace ssr;
 
 struct options {
-  std::string protocol = "optimal";
-  std::uint32_t n = 32;
-  std::uint32_t h = 1;
-  std::uint32_t t_max = 0;  // loose: 0 = 4 log2 n
-  std::string scenario = "uniform_random";
+  /// protocol, scenario, n, h, t_max, seed, max_time and engine; trials
+  /// stays 1.
+  util::sim_request_spec spec;
   std::string graph = "complete";
   double graph_p = 0.9;  // for --graph=gnp
-  std::uint64_t seed = 1;
-  double max_time = 1e7;
   double trace_every = 0.0;  // 0 = only start/end
   bool show_agents = false;
   std::string dump_path;   // write the starting configuration here
@@ -93,8 +108,6 @@ struct options {
   bool profile = false;    // hierarchical section profiling (wall + perf)
   std::string profile_out;     // folded-stack output path (implies profile)
   std::string profile_chrome;  // chrome trace output path (implies profile)
-  engine_kind engine = engine_kind::direct;
-  std::uint32_t shards = 0;  // sharded engine: 0 = hardware concurrency
 
   obs::trace_options trace_options() const {
     return {.sample_every = trace_sample_every, .max_events = trace_cap};
@@ -114,43 +127,25 @@ constexpr std::string_view cli_flags[] = {
     "--list-protocols", "--list-scenarios", "--help",
 };
 
-constexpr std::pair<std::string_view, optimal_silent_scenario>
-    optimal_scenarios[] = {
-        {"uniform_random", optimal_silent_scenario::uniform_random},
-        {"all_settled_rank_one",
-         optimal_silent_scenario::all_settled_rank_one},
-        {"no_leader", optimal_silent_scenario::no_leader},
-        {"all_unsettled_expired",
-         optimal_silent_scenario::all_unsettled_expired},
-        {"all_dormant_followers",
-         optimal_silent_scenario::all_dormant_followers},
-        {"duplicated_ranks", optimal_silent_scenario::duplicated_ranks},
-        {"valid_ranking", optimal_silent_scenario::valid_ranking},
-};
-
-constexpr std::pair<std::string_view, sublinear_scenario>
-    sublinear_scenarios[] = {
-        {"uniform_random", sublinear_scenario::uniform_random},
-        {"all_same_name", sublinear_scenario::all_same_name},
-        {"single_collision", sublinear_scenario::single_collision},
-        {"ghost_names", sublinear_scenario::ghost_names},
-        {"missing_own_name", sublinear_scenario::missing_own_name},
-        {"planted_histories", sublinear_scenario::planted_histories},
-        {"mid_reset", sublinear_scenario::mid_reset},
-        {"valid_ranking", sublinear_scenario::valid_ranking},
-};
+constexpr std::string_view graph_names[] = {"complete", "ring", "star",
+                                            "path", "gnp"};
 
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
   std::cerr <<
       "usage: ssr_cli [options]\n"
+      "  Runs trial 0 of the one-trial `ssr_cli run` scenario with the same\n"
+      "  fields and reports the same time as that run's samples[0]; the one\n"
+      "  exception is baseline on --engine=direct, which `ssr_cli run`\n"
+      "  simulates with the exact jump simulator and this mode steps.\n"
       "  --protocol=baseline|optimal|sublinear|loose\n"
       "  --n=<int>              population size (default 32)\n"
       "  --h=<int>              sublinear history depth (default 1)\n"
       "  --t-max=<int>          loose timeout (default 4 log2 n)\n"
       "  --scenario=<name>      adversarial start (default uniform_random;\n"
       "                         see --list-scenarios)\n"
-      "  --graph=complete|ring|star|path|gnp   (baseline/optimal only)\n"
+      "  --graph=complete|ring|star|path|gnp   (not sublinear; other graphs\n"
+      "                         run the same run core on graph_simulation)\n"
       "  --graph-p=<float>      edge probability for gnp (default 0.9)\n"
       "  --engine=direct|batched|sharded  simulation engine (default\n"
       "                         direct; batched and sharded assume the\n"
@@ -159,32 +154,34 @@ constexpr std::pair<std::string_view, sublinear_scenario>
       "  --shards=<int>         sharded engine worker shard count (>= 1;\n"
       "                         requires --engine=sharded; omit the flag\n"
       "                         for hardware concurrency)\n"
-      "  --seed=<int>           rng seed (default 1)\n"
+      "  --seed=<int>           rng seed (default 1); the trial seed is\n"
+      "                         derive_seed(seed, 0), as for trial 0 of a run\n"
       "  --max-time=<float>     parallel-time budget (default 1e7)\n"
-      "  --trace-every=<float>  summary every T time units\n"
+      "  --trace-every=<float>  summary every T time units (cuts the run at\n"
+      "                         each summary, which changes the trajectory\n"
+      "                         on the block path and the sharded engine)\n"
       "  --show-agents          dump every agent state at start/end\n"
       "  --dump=<file>          write the starting configuration (see\n"
       "                         protocols/serialize.hpp for the format)\n"
       "  --load=<file>          start from a saved configuration\n"
       "  --json=<file>          write a machine-readable run summary\n"
       "  --trace-out=<file>     write the structured event stream as JSONL\n"
-      "                         (requires --graph=complete; runs through the\n"
-      "                         selected engine)\n"
+      "                         (requires --graph=complete)\n"
       "  --trace-sample-every=<k>  keep every k-th phase_transition event\n"
       "                         (default 1 = all; structural events are\n"
       "                         never sampled out)\n"
       "  --trace-cap=<int>      trace event buffer cap (default 2^20;\n"
       "                         excess events are counted as dropped)\n"
       "  --progress             print a heartbeat line to stderr every few\n"
-      "                         seconds (parallel time, interactions/s, ETA)\n"
+      "                         seconds (parallel time, interactions/s, ETA;\n"
+      "                         cuts the run like --trace-every)\n"
       "  --lint                 run the protocol model linter (strict) on\n"
       "                         the selected protocol before simulating;\n"
       "                         exits 1 without simulating on violations\n"
       "  --profile              hierarchical section profiling: hardware\n"
       "                         counters when available, wall time always;\n"
       "                         the section table lands in the --json summary\n"
-      "                         (requires --graph=complete; runs through the\n"
-      "                         selected engine)\n"
+      "                         (requires --graph=complete)\n"
       "  --profile-out=<file>   also write the profile as a folded-stack\n"
       "                         file (flamegraph.pl / speedscope); implies\n"
       "                         --profile\n"
@@ -215,39 +212,26 @@ constexpr std::pair<std::string_view, std::string_view> protocol_blurbs[] = {
      "loose-stabilizing LE (Theta(log n)-state comparison point)"},
 };
 
-std::string_view blurb_of(std::string_view protocol) {
-  for (const auto& [name, blurb] : protocol_blurbs)
-    if (name == protocol) return blurb;
-  return {};
-}
-
 /// --list-protocols; with the bare --json modifier the listing is a
 /// machine-readable document instead of aligned text.
 [[noreturn]] void list_protocols(bool json) {
-  if (json) {
-    obs::json_value doc = obs::json_value::object();
-    doc["schema"] = "ssr.protocols";
-    doc["schema_version"] = 1;
-    obs::json_value arr = obs::json_value::array();
-    for (const std::string_view protocol : util::protocol_names()) {
-      obs::json_value item = obs::json_value::object();
-      item["name"] = std::string(protocol);
-      item["description"] = std::string(blurb_of(protocol));
-      arr.push_back(std::move(item));
-    }
-    doc["protocols"] = std::move(arr);
-    std::cout << doc.dump(2) << '\n';
+  if (!json) {
+    for (const auto& [name, blurb] : protocol_blurbs)
+      std::cout << std::left << std::setw(11) << name << blurb << '\n';
     std::exit(0);
   }
-  std::cout
-      << "baseline   Silent-n-state-SSR (Theta(n^2) time, n states; Table 1 "
-         "row 1)\n"
-      << "optimal    Optimal-Silent-SSR (O(n) time, O(n) states; Theorem "
-         "4.1)\n"
-      << "sublinear  Sublinear-Time-SSR (O(n/2^h polylog n) time; Theorem "
-         "5.1)\n"
-      << "loose      loose-stabilizing LE (Theta(log n)-state comparison "
-         "point)\n";
+  obs::json_value doc = obs::json_value::object();
+  doc["schema"] = "ssr.protocols";
+  doc["schema_version"] = 1;
+  obs::json_value arr = obs::json_value::array();
+  for (const auto& [name, blurb] : protocol_blurbs) {
+    obs::json_value item = obs::json_value::object();
+    item["name"] = std::string(name);
+    item["description"] = std::string(blurb);
+    arr.push_back(std::move(item));
+  }
+  doc["protocols"] = std::move(arr);
+  std::cout << doc.dump(2) << '\n';
   std::exit(0);
 }
 
@@ -281,6 +265,19 @@ std::string_view blurb_of(std::string_view protocol) {
   std::exit(0);
 }
 
+/// `text` as a finite number in [lo, hi], or nullopt.
+std::optional<double> parse_number(const std::string& text, double lo,
+                                   double hi) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !(value >= lo && value <= hi))
+    return std::nullopt;
+  return value;
+}
+
+constexpr double no_upper_bound = std::numeric_limits<double>::max();
+
 options parse(int argc, char** argv) {
   options opt;
   // Bare --json is the machine-readable modifier for the list modes; it
@@ -294,6 +291,23 @@ options parse(int argc, char** argv) {
   // bad specs with exactly the diagnostics the benches and ssr_serve
   // produce (util/request_spec.hpp).
   util::spec_builder builder;
+  // Numeric flags outside the spec: a bad value is a usage error that
+  // names the flag.
+  const auto number = [](const char* flag, const std::string& text, double lo,
+                         double hi, const char* expected) {
+    const std::optional<double> value = parse_number(text, lo, hi);
+    if (!value)
+      usage(std::string(flag) + " must be " + expected + ", got '" + text +
+            "'");
+    return *value;
+  };
+  const auto count = [](const char* flag, const std::string& text) {
+    const std::optional<std::uint64_t> value = util::parse_u64(text);
+    if (!value || *value == 0)
+      usage(std::string(flag) + " must be an integer >= 1, got '" + text +
+            "'");
+    return *value;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](const char* key) -> std::optional<std::string> {
@@ -336,7 +350,7 @@ options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = value_of("--graph-p")) {
-      opt.graph_p = std::stod(*v);
+      opt.graph_p = number("--graph-p", *v, 0.0, 1.0, "a number in [0, 1]");
       continue;
     }
     if (auto v = value_of("--engine")) {
@@ -356,7 +370,8 @@ options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = value_of("--trace-every")) {
-      opt.trace_every = std::stod(*v);
+      opt.trace_every =
+          number("--trace-every", *v, 0.0, no_upper_bound, "a number >= 0");
       continue;
     }
     if (auto v = value_of("--dump")) {
@@ -376,13 +391,11 @@ options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = value_of("--trace-sample-every")) {
-      opt.trace_sample_every = std::stoull(*v);
-      if (opt.trace_sample_every == 0)
-        usage("--trace-sample-every must be >= 1");
+      opt.trace_sample_every = count("--trace-sample-every", *v);
       continue;
     }
     if (auto v = value_of("--trace-cap")) {
-      opt.trace_cap = static_cast<std::size_t>(std::stoull(*v));
+      opt.trace_cap = static_cast<std::size_t>(count("--trace-cap", *v));
       continue;
     }
     if (arg == "--progress") {
@@ -417,84 +430,48 @@ options parse(int argc, char** argv) {
   }
   const std::vector<util::spec_error> errors = builder.finalize();
   if (!errors.empty()) usage(util::render_errors(errors));
-  const util::sim_request_spec& spec = builder.spec();
-  opt.protocol = spec.protocol;
-  opt.scenario = spec.scenario;
-  opt.n = spec.n;
-  opt.h = spec.h;
-  opt.t_max = spec.t_max;
-  opt.seed = spec.seed;
-  opt.max_time = spec.max_time;
-  opt.engine = spec.engine.kind;
-  opt.shards = spec.engine.shards;
-  if (opt.engine != engine_kind::direct && opt.graph != "complete")
-    usage("--engine=" + std::string(to_string(opt.engine)) +
-          " requires --graph=complete");
-  if (!opt.trace_path.empty() && opt.graph != "complete")
-    usage("--trace-out requires --graph=complete (tracing attaches to the "
-          "engine hook API)");
-  if (opt.profile && opt.graph != "complete")
-    usage("--profile requires --graph=complete (profiling attaches to the "
-          "engine)");
+  opt.spec = builder.spec();
+  if (std::find(std::begin(graph_names), std::end(graph_names), opt.graph) ==
+      std::end(graph_names))
+    usage(util::unknown_name_message("graph", opt.graph, graph_names));
+  if (opt.graph == "ring" && opt.spec.n < 3)
+    usage("--graph=ring needs --n >= 3");
+  if (opt.graph != "complete") {
+    if (opt.spec.engine.kind != engine_kind::direct)
+      usage("--engine=" + std::string(to_string(opt.spec.engine.kind)) +
+            " requires --graph=complete");
+    if (!opt.trace_path.empty())
+      usage("--trace-out requires --graph=complete (tracing attaches to the "
+            "engine hook API)");
+    if (opt.profile)
+      usage("--profile requires --graph=complete (profiling attaches to the "
+            "engine)");
+    if (opt.spec.protocol == "sublinear")
+      usage("sublinear runs on the complete graph only");
+  }
   return opt;
 }
 
 interaction_graph make_graph(const options& opt) {
-  if (opt.graph == "complete") return interaction_graph::complete(opt.n);
-  if (opt.graph == "ring") return interaction_graph::ring(opt.n);
-  if (opt.graph == "star") return interaction_graph::star(opt.n);
-  if (opt.graph == "path") return interaction_graph::path(opt.n);
-  if (opt.graph == "gnp")
-    return interaction_graph::erdos_renyi(opt.n, opt.graph_p, opt.seed ^ 0x9e);
-  usage("unknown graph: " + opt.graph);
-}
-
-optimal_silent_scenario parse_optimal_scenario(const std::string& s) {
-  for (const auto& [name, value] : optimal_scenarios)
-    if (name == s) return value;
-  const std::string_view suggestion = nearest_candidate(
-      s, [] {
-        static std::vector<std::string_view> names;
-        if (names.empty())
-          for (const auto& [name, _] : optimal_scenarios)
-            names.push_back(name);
-        return std::span<const std::string_view>(names);
-      }());
-  std::string message = "unknown optimal scenario: " + s;
-  if (!suggestion.empty())
-    message += " (did you mean " + std::string(suggestion) + "?)";
-  usage(message);
-}
-
-sublinear_scenario parse_sublinear_scenario(const std::string& s) {
-  for (const auto& [name, value] : sublinear_scenarios)
-    if (name == s) return value;
-  const std::string_view suggestion = nearest_candidate(
-      s, [] {
-        static std::vector<std::string_view> names;
-        if (names.empty())
-          for (const auto& [name, _] : sublinear_scenarios)
-            names.push_back(name);
-        return std::span<const std::string_view>(names);
-      }());
-  std::string message = "unknown sublinear scenario: " + s;
-  if (!suggestion.empty())
-    message += " (did you mean " + std::string(suggestion) + "?)";
-  usage(message);
+  const std::uint32_t n = opt.spec.n;
+  if (opt.graph == "ring") return interaction_graph::ring(n);
+  if (opt.graph == "star") return interaction_graph::star(n);
+  if (opt.graph == "path") return interaction_graph::path(n);
+  return interaction_graph::erdos_renyi(n, opt.graph_p, opt.spec.seed ^ 0x9e);
 }
 
 /// Single-run heartbeat behind --progress: owns a metrics registry whose
-/// run.* gauges the drive loops refresh at each checkpoint window; the
-/// background meter renders parallel-time progress, interactions/s, and an
-/// ETA on stderr (obs/progress.hpp).  A disabled instance is inert.
+/// run.* gauges the checkpoints refresh; the background meter renders
+/// parallel-time progress, interactions/s, and an ETA on stderr
+/// (obs/progress.hpp).  A disabled instance is inert.
 class run_progress {
  public:
   explicit run_progress(const options& opt) {
     if (!opt.progress) return;
     registry_.emplace();
-    registry_->get_gauge("run.max_parallel_time").set(opt.max_time);
+    registry_->get_gauge("run.max_parallel_time").set(opt.spec.max_time);
     meter_.emplace(*registry_,
-                   obs::progress_options{.label = opt.protocol});
+                   obs::progress_options{.label = opt.spec.protocol});
   }
 
   void update(double parallel_time, std::uint64_t interactions) {
@@ -518,10 +495,10 @@ class run_progress {
 
 /// Single-run profiling behind --profile: owns the counter group (degraded
 /// gracefully where perf_event_open is restricted) and the section
-/// collector rooted at "run"; the drive loops attach the profiler to their
-/// engine.  finish() writes the requested folded-stack / chrome artifacts
-/// and returns the profile JSON for the --json summary.  A disabled
-/// instance is inert and hands the engine a null profiler.
+/// collector rooted at "run"; drive() attaches the profiler to its engine.
+/// finish() writes the requested folded-stack / chrome artifacts and
+/// returns the profile JSON for the --json summary.  A disabled instance
+/// is inert and hands the engine a null profiler.
 class run_profile {
  public:
   explicit run_profile(const options& opt) : opt_(&opt) {
@@ -570,21 +547,84 @@ class run_profile {
   std::uint32_t root_ = 0;
 };
 
-/// Checkpoint window for the drive loops: --trace-every wins; otherwise
-/// --progress forces periodic returns from the engine so the heartbeat
-/// gauges advance; otherwise one full-budget window.
-double progress_window(const options& opt) {
-  if (opt.trace_every > 0) return opt.trace_every;
-  if (opt.progress) return std::max(opt.max_time / 1024.0, 1.0);
-  return opt.max_time;
+/// Engine decorator behind --trace-every and --progress: run() cuts its
+/// budget at every checkpoint (each `every` interactions), calls
+/// `at_checkpoint`, and continues, so the run core hands control back
+/// without an option of its own.  Cutting a run into budgets keeps the
+/// direct engine's and the count engine's trajectories (pp/engine.hpp);
+/// the block path and the sharded engine keep only the distribution.
+template <simulation_engine E>
+class checkpointed {
+ public:
+  using protocol_type = typename E::protocol_type;
+  using agent_state = typename E::agent_state;
+
+  checkpointed(E& engine, std::uint64_t every,
+               std::function<void()> at_checkpoint)
+      : engine_(engine),
+        every_(every),
+        next_(every),
+        at_checkpoint_(std::move(at_checkpoint)) {}
+
+  template <class Pre, class Post>
+  bool run(std::uint64_t budget, Pre&& pre, Post&& post) {
+    while (next_ < budget) {
+      if (engine_.run(next_, pre, post)) return true;
+      at_checkpoint_();
+      next_ += std::min(every_, std::numeric_limits<std::uint64_t>::max() -
+                                    next_);
+    }
+    return engine_.run(budget, pre, post);
+  }
+
+  std::uint32_t population_size() const { return engine_.population_size(); }
+  std::uint64_t interactions() const { return engine_.interactions(); }
+  double parallel_time() const { return engine_.parallel_time(); }
+  bool quiescent() const { return engine_.quiescent(); }
+  auto agents() const { return engine_.agents(); }
+  const protocol_type& protocol() const { return engine_.protocol(); }
+
+ private:
+  E& engine_;
+  std::uint64_t every_;
+  std::uint64_t next_;
+  std::function<void()> at_checkpoint_;
+};
+
+/// Interactions between checkpoints: --trace-every wins; otherwise
+/// --progress takes 1024 windows of the budget; otherwise none.
+std::uint64_t checkpoint_interactions(const options& opt) {
+  const double window = opt.trace_every > 0 ? opt.trace_every
+                        : opt.progress
+                            ? std::max(opt.spec.max_time / 1024.0, 1.0)
+                            : 0.0;
+  const double interactions = window * static_cast<double>(opt.spec.n);
+  if (window == 0.0 || interactions >= 0x1p64)
+    return std::numeric_limits<std::uint64_t>::max();
+  return std::max<std::uint64_t>(static_cast<std::uint64_t>(interactions), 1);
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) usage("cannot open " + path);
+std::optional<std::string> read_file(const std::string& path,
+                                     std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    *error = "cannot open '" + path + "'";
+    return std::nullopt;
+  }
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+template <class P>
+void print_configuration(const options& opt, const P& protocol, double time,
+                         std::span<const typename P::agent_state> agents) {
+  std::cout << "t=" << time << ": " << summarize_configuration(protocol, agents)
+            << '\n';
+  if (!opt.show_agents) return;
+  for (std::size_t i = 0; i < agents.size(); ++i)
+    std::cout << "  agent " << i << ": " << describe(protocol, agents[i])
+              << '\n';
 }
 
 /// Writes the --json run summary: the verdict plus everything a script
@@ -594,18 +634,17 @@ void write_summary(const options& opt, bool stabilized, double time,
                    std::uint64_t interactions,
                    const obs::engine_counters* counters,
                    const obs::trace_sink* sink,
-                   const std::optional<obs::json_value>& profile =
-                       std::nullopt) {
+                   const std::optional<obs::json_value>& profile) {
   if (opt.json_path.empty()) return;
   obs::json_value doc = obs::json_value::object();
   doc["schema_version"] = 1;
   doc["tool"] = "ssr_cli";
-  doc["protocol"] = opt.protocol;
-  doc["n"] = static_cast<std::uint64_t>(opt.n);
-  doc["scenario"] = opt.scenario;
+  doc["protocol"] = opt.spec.protocol;
+  doc["n"] = static_cast<std::uint64_t>(opt.spec.n);
+  doc["scenario"] = opt.spec.scenario;
   doc["graph"] = opt.graph;
-  doc["engine"] = std::string(to_string(opt.engine));
-  doc["seed"] = opt.seed;
+  doc["engine"] = std::string(to_string(opt.spec.engine.kind));
+  doc["seed"] = opt.spec.seed;
   doc["stabilized"] = stabilized;
   doc["parallel_time"] = time;
   doc["interactions"] = interactions;
@@ -625,297 +664,125 @@ void write_summary(const options& opt, bool stabilized, double time,
   std::cout << "summary: " << opt.json_path << '\n';
 }
 
-void write_trace(const obs::trace_sink& sink, const std::string& path,
-                 std::span<const std::string_view> phase_names) {
-  std::ofstream out(path);
-  if (!out) usage("cannot write " + path);
-  sink.write_jsonl(out, phase_names);
-  std::cout << "trace: " << path << " (" << sink.events().size()
-            << " events, " << sink.offered() << " offered)\n";
+/// Measures one run of `engine` with the run core and reports it: the
+/// checkpoint summaries, the final configuration, the trace, profile and
+/// --json artifacts, and the verdict.  Returns the exit code.
+template <simulation_engine E>
+int drive(const options& opt, E& engine, double confirm_parallel_time) {
+  using P = typename E::protocol_type;
+  const P& protocol = engine.protocol();
+  obs::engine_counters counters;
+  const obs::engine_counters* counted = nullptr;
+  run_profile prof(opt);
+  if constexpr (requires { engine.attach_counters(&counters); }) {
+    engine.attach_counters(&counters);
+    engine.attach_profiler(prof.profiler());
+    counted = &counters;
+  }
+  obs::trace_sink sink(opt.trace_options());
+  run_progress progress(opt);
+  checkpointed<E> run(engine, checkpoint_interactions(opt), [&] {
+    progress.update(engine.parallel_time(), engine.interactions());
+    if (opt.trace_every > 0) {
+      std::cout << "t=" << engine.parallel_time() << ": "
+                << summarize_configuration(protocol, engine.agents()) << '\n';
+    }
+  });
+
+  convergence_options measure;
+  measure.max_parallel_time = opt.spec.max_time;
+  measure.confirm_parallel_time = confirm_parallel_time;
+  measure.trace = opt.trace_path.empty() ? nullptr : &sink;
+  const convergence_result result = measure_convergence_run(run, measure);
+
+  progress.finish(engine.parallel_time(), engine.interactions());
+  print_configuration(opt, protocol, engine.parallel_time(), engine.agents());
+  if (measure.trace != nullptr) {
+    std::ofstream out(opt.trace_path);
+    if (!out) usage("cannot write " + opt.trace_path);
+    sink.write_jsonl(out, obs::phase_names(protocol));
+    std::cout << "trace: " << opt.trace_path << " (" << sink.events().size()
+              << " events, " << sink.offered() << " offered)\n";
+  }
+  const std::optional<obs::json_value> profile_json = prof.finish();
+  write_summary(opt, result.converged,
+                result.converged ? result.convergence_time
+                                 : engine.parallel_time(),
+                result.interactions, counted, measure.trace, profile_json);
+  if (!result.converged) {
+    std::cout << "did NOT stabilize within t=" << opt.spec.max_time << '\n';
+    return 1;
+  }
+  std::cout << "stabilized at t=" << result.convergence_time << " ("
+            << std::llround(result.convergence_time *
+                            static_cast<double>(opt.spec.n))
+            << " interactions); "
+            << (ranking_protocol<P> ? "leader is the rank-1 agent"
+                                    : "exactly one leader")
+            << '\n';
+  return 0;
 }
 
-/// Applies --dump/--load: optionally replaces `initial` with a saved
-/// configuration, optionally writes the starting configuration out.
+/// The flag mode: trial 0 of the one-trial scenario `opt.spec`, from the
+/// trial recipe `ssr_cli run` uses.  --load, --dump and --show-agents act
+/// on the recipe's start configuration; the run goes through drive() on
+/// the engine --engine names, or on graph_simulation for --graph.
 template <class P>
-std::vector<typename P::agent_state> resolve_initial(
-    const options& opt, const P& protocol,
-    std::vector<typename P::agent_state> initial) {
-  if (!opt.load_path.empty())
-    initial = config_from_text(protocol, slurp(opt.load_path));
+int run_flag_mode(const options& opt, serve::trial_recipe<P> recipe) {
+  if (!opt.load_path.empty()) {
+    std::string error;
+    const std::optional<std::string> text = read_file(opt.load_path, &error);
+    if (!text) usage(error);
+    try {
+      recipe.initial = config_from_text(recipe.protocol, *text);
+    } catch (const std::invalid_argument& e) {
+      usage(opt.load_path + ": " + e.what());
+    }
+  }
   if (!opt.dump_path.empty()) {
     std::ofstream out(opt.dump_path);
     if (!out) usage("cannot write " + opt.dump_path);
-    out << to_text(protocol, initial);
+    out << to_text(recipe.protocol, recipe.initial);
     std::cout << "wrote starting configuration to " << opt.dump_path << '\n';
   }
-  return initial;
-}
-
-/// Engine-based counterpart of drive() for --engine=batched (or whenever a
-/// trace is requested) on the complete graph: same summaries and verdict,
-/// but the trajectory advances through a pp/engine.hpp engine, correctness
-/// is tracked incrementally (the engine may skip certainly-null
-/// interactions, so a per-step full-scan check would defeat the point), and
-/// a phase observer emits the structured event stream for instrumented
-/// protocols.
-template <class Engine, class P>
-int drive_engine(const options& opt, const P& protocol,
-                 std::vector<typename P::agent_state> initial) {
-  initial = resolve_initial(opt, protocol, std::move(initial));
-  // The sharded engine takes its shard count at construction; the others
-  // keep the uniform three-argument signature.
-  Engine eng = [&] {
-    if constexpr (requires {
-                    Engine(protocol, std::move(initial), opt.seed,
-                           sharded_options{});
-                  }) {
-      return Engine(protocol, std::move(initial), opt.seed,
-                    sharded_options{.shards = opt.shards});
-    } else {
-      return Engine(protocol, std::move(initial), opt.seed);
+  print_configuration<P>(opt, recipe.protocol, 0.0, recipe.initial);
+  const double confirm = recipe.confirm_parallel_time;
+  if (opt.graph != "complete") {
+    graph_simulation<P> sim(std::move(recipe.protocol), make_graph(opt),
+                            std::move(recipe.initial), recipe.engine_seed);
+    return drive(opt, sim, confirm);
+  }
+  switch (opt.spec.engine.kind) {
+    case engine_kind::batched: {
+      batched_engine<P> engine(std::move(recipe.protocol),
+                               std::move(recipe.initial), recipe.engine_seed);
+      return drive(opt, engine, confirm);
     }
-  }();
-  obs::engine_counters counters;
-  eng.attach_counters(&counters);
-  run_profile prof(opt);
-  eng.attach_profiler(prof.profiler());
-  obs::trace_sink sink(opt.trace_options());
-  obs::trace_sink* sink_ptr = opt.trace_path.empty() ? nullptr : &sink;
-  run_progress progress(opt);
-
-  std::cout << "t=0.0: " << summarize_configuration(protocol, eng.agents())
-            << '\n';
-  if (opt.show_agents) {
-    for (std::size_t i = 0; i < eng.agents().size(); ++i)
-      std::cout << "  agent " << i << ": "
-                << describe(protocol, eng.agents()[i]) << '\n';
-  }
-
-  rank_tracker tracker(protocol.population_size());
-  for (const auto& s : eng.agents()) tracker.add(protocol.rank_of(s));
-  std::uint32_t ra = 0, rb = 0;
-
-  const auto run_to_verdict = [&](auto&& pre_extra, auto&& post_extra) {
-    const auto pre = [&](const agent_pair& pair) {
-      ra = protocol.rank_of(eng.agents()[pair.initiator]);
-      rb = protocol.rank_of(eng.agents()[pair.responder]);
-      pre_extra(pair);
-    };
-    const auto post = [&](const agent_pair& pair, bool changed) {
-      if (changed) {
-        tracker.update(ra, protocol.rank_of(eng.agents()[pair.initiator]));
-        tracker.update(rb, protocol.rank_of(eng.agents()[pair.responder]));
-      }
-      post_extra(pair, changed);
-      return tracker.correct();
-    };
-    const double step_window = progress_window(opt);
-    bool done = tracker.correct();
-    while (!done && eng.parallel_time() < opt.max_time) {
-      const double next_checkpoint =
-          std::min(eng.parallel_time() + step_window, opt.max_time);
-      done = eng.run(static_cast<std::uint64_t>(
-                         next_checkpoint * static_cast<double>(opt.n)),
-                     pre, post);
-      progress.update(eng.parallel_time(), eng.interactions());
-      if (opt.trace_every > 0 || done) {
-        std::cout << "t=" << eng.parallel_time() << ": "
-                  << summarize_configuration(protocol, eng.agents()) << '\n';
-      }
+    case engine_kind::sharded: {
+      sharded_engine<P> engine(std::move(recipe.protocol),
+                               std::move(recipe.initial), recipe.engine_seed,
+                               {.shards = opt.spec.engine.shards});
+      return drive(opt, engine, confirm);
     }
-    return done;
-  };
-
-  bool done = false;
-  if constexpr (obs::phase_instrumented_protocol<P>) {
-    obs::phase_observer<P> observer(protocol, eng.agents(), sink_ptr);
-    observer.begin(eng.parallel_time(), eng.interactions());
-    bool was_correct = tracker.correct();
-    done = run_to_verdict(
-        [&](const agent_pair& pair) { observer.before(pair); },
-        [&](const agent_pair& pair, bool changed) {
-          observer.after(pair, changed, eng.parallel_time(),
-                         eng.interactions());
-          if (changed && ra == rb && ra != 0)
-            observer.rank_collision(pair, eng.parallel_time(),
-                                    eng.interactions());
-          const bool correct = tracker.correct();
-          if (correct && !was_correct)
-            observer.convergence(eng.parallel_time(), eng.interactions());
-          else if (!correct && was_correct)
-            observer.correctness_lost(eng.parallel_time(),
-                                      eng.interactions());
-          was_correct = correct;
-        });
-    observer.end(eng.parallel_time(), eng.interactions());
-    if (sink_ptr != nullptr) {
-      const auto names = observer.phase_names();
-      write_trace(sink, opt.trace_path, names);
-    }
-  } else {
-    if (sink_ptr != nullptr)
-      sink.emit({obs::trace_event_kind::run_start, eng.parallel_time(),
-                 eng.interactions()});
-    done = run_to_verdict([](const agent_pair&) {},
-                          [](const agent_pair&, bool) {});
-    if (sink_ptr != nullptr) {
-      if (done)
-        sink.emit({obs::trace_event_kind::convergence, eng.parallel_time(),
-                   eng.interactions()});
-      sink.emit({obs::trace_event_kind::run_end, eng.parallel_time(),
-                 eng.interactions()});
-      write_trace(sink, opt.trace_path, {});
-    }
+    case engine_kind::direct:
+      break;
   }
-  progress.finish(eng.parallel_time(), eng.interactions());
-  const std::optional<obs::json_value> profile_json = prof.finish();
-
-  if (opt.show_agents) {
-    for (std::size_t i = 0; i < eng.agents().size(); ++i)
-      std::cout << "  agent " << i << ": "
-                << describe(protocol, eng.agents()[i]) << '\n';
-  }
-  write_summary(opt, done, eng.parallel_time(), eng.interactions(),
-                &counters, sink_ptr, profile_json);
-  if (done) {
-    std::cout << "stabilized at t=" << eng.parallel_time() << " ("
-              << eng.interactions() << " interactions); leader is the rank-1 "
-              << "agent\n";
-    return 0;
-  }
-  std::cout << "did NOT stabilize within t=" << opt.max_time << '\n';
-  return 1;
-}
-
-/// Drives one run with periodic summaries; returns success.
-template <class P>
-int drive(const options& opt, const P& protocol,
-          std::vector<typename P::agent_state> initial,
-          const interaction_graph& graph) {
-  initial = resolve_initial(opt, protocol, std::move(initial));
-  graph_simulation<P> sim(protocol, graph, std::move(initial), opt.seed);
-  std::cout << "t=0.0: " << summarize_configuration(protocol, sim.agents())
-            << '\n';
-  if (opt.show_agents) {
-    for (std::size_t i = 0; i < sim.agents().size(); ++i)
-      std::cout << "  agent " << i << ": "
-                << describe(protocol, sim.agents()[i]) << '\n';
-  }
-
-  run_progress progress(opt);
-  const double step_window = progress_window(opt);
-  bool done = false;
-  while (!done && sim.parallel_time() < opt.max_time) {
-    const double next_checkpoint =
-        std::min(sim.parallel_time() + step_window, opt.max_time);
-    done = sim.run_until(
-        [&](const graph_simulation<P>& s) {
-          return is_valid_ranking(s.protocol(), s.agents()) ||
-                 s.parallel_time() >= next_checkpoint;
-        },
-        static_cast<std::uint64_t>(opt.max_time *
-                                   static_cast<double>(opt.n)));
-    done = done && is_valid_ranking(protocol, sim.agents());
-    progress.update(sim.parallel_time(), sim.interactions());
-    if (opt.trace_every > 0 || done) {
-      std::cout << "t=" << sim.parallel_time() << ": "
-                << summarize_configuration(protocol, sim.agents()) << '\n';
-    }
-  }
-  progress.finish(sim.parallel_time(), sim.interactions());
-
-  if (opt.show_agents) {
-    for (std::size_t i = 0; i < sim.agents().size(); ++i)
-      std::cout << "  agent " << i << ": "
-                << describe(protocol, sim.agents()[i]) << '\n';
-  }
-  write_summary(opt, done, sim.parallel_time(), sim.interactions(), nullptr,
-                nullptr);
-  if (done) {
-    std::cout << "stabilized at t=" << sim.parallel_time() << " ("
-              << sim.interactions() << " interactions); leader is the rank-1 "
-              << "agent\n";
-    return 0;
-  }
-  std::cout << "did NOT stabilize within t=" << opt.max_time << '\n';
-  return 1;
-}
-
-/// Runs `sim` (an engine or graph_simulation) until exactly one agent is a
-/// leader, checked after every interaction, or for `budget` interactions.
-template <class Sim, class OnStep>
-bool run_to_unique_leader(Sim& sim, std::uint64_t budget, OnStep&& on_step) {
-  leader_tracker leaders;
-  for (const auto& s : sim.agents()) leaders.add(sim.protocol().is_leader(s));
-  return run_until_unique_leader_is(sim, leaders, true, budget,
-                                    std::forward<OnStep>(on_step));
-}
-
-/// Loose LE has no ranking notion; run until a unique leader, report.
-template <class Engine>
-int drive_loose_engine(const options& opt, const loose_stabilizing_le& p,
-                       std::vector<loose_stabilizing_le::agent_state>
-                           initial) {
-  Engine eng = [&] {
-    if constexpr (requires {
-                    Engine(p, std::move(initial), opt.seed,
-                           sharded_options{});
-                  }) {
-      return Engine(p, std::move(initial), opt.seed,
-                    sharded_options{.shards = opt.shards});
-    } else {
-      return Engine(p, std::move(initial), opt.seed);
-    }
-  }();
-  obs::engine_counters counters;
-  eng.attach_counters(&counters);
-  run_profile prof(opt);
-  eng.attach_profiler(prof.profiler());
-  obs::trace_sink sink(opt.trace_options());
-  obs::trace_sink* sink_ptr = opt.trace_path.empty() ? nullptr : &sink;
-  run_progress progress(opt);
-
-  std::cout << "t=0.0: " << summarize_configuration(p, eng.agents()) << '\n';
-  if (sink_ptr != nullptr)
-    sink.emit({obs::trace_event_kind::run_start, eng.parallel_time(),
-               eng.interactions()});
-  bool done = p.leader_count(eng.agents()) == 1;
-  if (!done) {
-    done = run_to_unique_leader(
-        eng,
-        static_cast<std::uint64_t>(opt.max_time *
-                                   static_cast<double>(opt.n)),
-        [&] {
-          if ((eng.interactions() & 0xffff) == 0)
-            progress.update(eng.parallel_time(), eng.interactions());
-        });
-  }
-  progress.finish(eng.parallel_time(), eng.interactions());
-  std::cout << "t=" << eng.parallel_time() << ": "
-            << summarize_configuration(p, eng.agents()) << '\n';
-  if (sink_ptr != nullptr) {
-    if (done)
-      sink.emit({obs::trace_event_kind::convergence, eng.parallel_time(),
-                 eng.interactions()});
-    sink.emit({obs::trace_event_kind::run_end, eng.parallel_time(),
-               eng.interactions()});
-    write_trace(sink, opt.trace_path, {});
-  }
-  const std::optional<obs::json_value> profile_json = prof.finish();
-  write_summary(opt, done, eng.parallel_time(), eng.interactions(),
-                &counters, sink_ptr, profile_json);
-  return done ? 0 : 1;
+  direct_engine<P> engine(std::move(recipe.protocol), std::move(recipe.initial),
+                          recipe.engine_seed);
+  return drive(opt, engine, confirm);
 }
 
 // Maps the CLI protocol name to the lint-registry entries covering it; the
 // sublinear entries are per history depth, so pick the one matching --h
 // (the linter's sampled checks only run at h <= 2).
 std::vector<std::string> lint_entries_for(const options& opt) {
-  if (opt.protocol == "baseline") return {"baseline"};
-  if (opt.protocol == "optimal") return {"optimal", "optimal-default"};
-  if (opt.protocol == "sublinear")
-    return {"sublinear-h" + std::to_string(std::min<std::uint32_t>(opt.h, 2))};
-  if (opt.protocol == "loose") return {"loose"};
+  const std::string& protocol = opt.spec.protocol;
+  if (protocol == "baseline") return {"baseline"};
+  if (protocol == "optimal") return {"optimal", "optimal-default"};
+  if (protocol == "sublinear")
+    return {"sublinear-h" +
+            std::to_string(std::min<std::uint32_t>(opt.spec.h, 2))};
+  if (protocol == "loose") return {"loose"};
   return {};
 }
 
@@ -970,18 +837,6 @@ std::optional<std::string> flag_value(std::span<char* const> args,
   const std::string prefix = std::string(flag) + "=";
   if (arg.rfind(prefix, 0) == 0) return std::string(arg.substr(prefix.size()));
   return std::nullopt;
-}
-
-std::optional<std::string> read_file(const std::string& path,
-                                     std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *error = "cannot open '" + path + "'";
-    return std::nullopt;
-  }
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 /// ssr_cli run <scenario.json> --out <dir>
@@ -1219,21 +1074,31 @@ int cmd_compare(std::span<char* const> args) {
   std::string bundle_dir;
   std::string against;
   obs::compare_limits limits;
+  const auto threshold = [](const char* flag, const std::string& text,
+                            double hi, const char* expected) {
+    const std::optional<double> value = parse_number(text, 0.0, hi);
+    if (!value)
+      subcommand_usage(std::string(flag) + " must be " + expected +
+                       ", got '" + text + "'");
+    return *value;
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (auto v = flag_value(args, i, "--against")) {
       against = *v;
       continue;
     }
     if (auto v = flag_value(args, i, "--ks-alpha")) {
-      limits.ks_alpha = std::stod(*v);
+      limits.ks_alpha = threshold("--ks-alpha", *v, 1.0, "a number in [0, 1]");
       continue;
     }
     if (auto v = flag_value(args, i, "--mean-tolerance")) {
-      limits.sample_mean_tolerance = std::stod(*v);
+      limits.sample_mean_tolerance = threshold(
+          "--mean-tolerance", *v, no_upper_bound, "a number >= 0");
       continue;
     }
     if (auto v = flag_value(args, i, "--value-tolerance")) {
-      limits.value_tolerance = std::stod(*v);
+      limits.value_tolerance = threshold("--value-tolerance", *v,
+                                         no_upper_bound, "a number >= 0");
       continue;
     }
     const std::string_view arg = args[i];
@@ -1308,97 +1173,7 @@ int main(int argc, char** argv) {
   }
   const options opt = parse(argc, argv);
   if (opt.lint) run_lint_gate(opt);
-  rng_t scenario_rng(opt.seed ^ 0xabcdef123456ULL);
-  const interaction_graph graph = make_graph(opt);
-
-  const bool batched = opt.engine == engine_kind::batched;
-  const bool sharded = opt.engine == engine_kind::sharded;
-  // Tracing and profiling attach to the engine, so either request routes
-  // even --engine=direct runs through direct_engine instead of
-  // graph_simulation (parse() already pinned --graph=complete for these).
-  const bool engine_path =
-      batched || sharded || !opt.trace_path.empty() || opt.profile;
-  if (opt.protocol == "baseline") {
-    silent_n_state_ssr p(opt.n);
-    auto init = adversarial_configuration(p, scenario_rng);
-    if (engine_path) {
-      if (sharded)
-        return drive_engine<sharded_engine<silent_n_state_ssr>>(
-            opt, p, std::move(init));
-      return batched
-                 ? drive_engine<batched_engine<silent_n_state_ssr>>(
-                       opt, p, std::move(init))
-                 : drive_engine<direct_engine<silent_n_state_ssr>>(
-                       opt, p, std::move(init));
-    }
-    return drive(opt, p, std::move(init), graph);
-  }
-  if (opt.protocol == "optimal") {
-    optimal_silent_ssr p(opt.n);
-    auto init = adversarial_configuration(
-        p, parse_optimal_scenario(opt.scenario), scenario_rng);
-    if (engine_path) {
-      if (sharded)
-        return drive_engine<sharded_engine<optimal_silent_ssr>>(
-            opt, p, std::move(init));
-      return batched ? drive_engine<batched_engine<optimal_silent_ssr>>(
-                           opt, p, std::move(init))
-                     : drive_engine<direct_engine<optimal_silent_ssr>>(
-                           opt, p, std::move(init));
-    }
-    return drive(opt, p, std::move(init), graph);
-  }
-  if (opt.protocol == "sublinear") {
-    if (opt.graph != "complete")
-      usage("sublinear runs on the complete graph only");
-    sublinear_time_ssr p(opt.n, opt.h);
-    auto init = adversarial_configuration(
-        p, parse_sublinear_scenario(opt.scenario), scenario_rng);
-    if (engine_path) {
-      if (sharded)
-        return drive_engine<sharded_engine<sublinear_time_ssr>>(
-            opt, p, std::move(init));
-      return batched ? drive_engine<batched_engine<sublinear_time_ssr>>(
-                           opt, p, std::move(init))
-                     : drive_engine<direct_engine<sublinear_time_ssr>>(
-                           opt, p, std::move(init));
-    }
-    return drive(opt, p, std::move(init), graph);
-  }
-  if (opt.protocol == "loose") {
-    const auto t_max =
-        opt.t_max > 0
-            ? opt.t_max
-            : static_cast<std::uint32_t>(
-                  4 * std::ceil(std::log2(static_cast<double>(opt.n))));
-    loose_stabilizing_le p(opt.n, t_max);
-    auto initial =
-        resolve_initial(opt, p, p.dead_configuration());  // --dump/--load
-    if (engine_path) {
-      if (sharded)
-        return drive_loose_engine<sharded_engine<loose_stabilizing_le>>(
-            opt, p, std::move(initial));
-      return batched ? drive_loose_engine<batched_engine<loose_stabilizing_le>>(
-                           opt, p, std::move(initial))
-                     : drive_loose_engine<direct_engine<loose_stabilizing_le>>(
-                           opt, p, std::move(initial));
-    }
-    graph_simulation<loose_stabilizing_le> sim(p, graph, std::move(initial),
-                                               opt.seed);
-    std::cout << "t=0.0: " << summarize_configuration(p, sim.agents())
-              << '\n';
-    const bool done = run_to_unique_leader(
-        sim,
-        static_cast<std::uint64_t>(opt.max_time *
-                                   static_cast<double>(opt.n)),
-        [] {});
-    std::cout << "t=" << sim.parallel_time() << ": "
-              << summarize_configuration(p, sim.agents()) << '\n';
-    write_summary(opt, done, sim.parallel_time(), sim.interactions(),
-                  nullptr, nullptr);
-    return done ? 0 : 1;
-  }
-  // Unreachable: parse() already validated the protocol name.
-  usage(util::unknown_name_message("protocol", opt.protocol,
-                                   util::protocol_names()));
+  return serve::with_trial_recipe(
+      opt.spec, derive_seed(opt.spec.seed, 0),
+      [&](auto recipe) { return run_flag_mode(opt, std::move(recipe)); });
 }
