@@ -172,16 +172,8 @@ int main(int argc, char** argv) {
           }
           return reset_seen;
         };
-        bool reset_seen = false;
-        if (engine == engine_kind::direct) {
-          direct_engine<sublinear_time_ssr> eng(p, std::move(init),
-                                                derive_seed(401, trial));
-          reset_seen = probe(eng);
-        } else {
-          batched_engine<sublinear_time_ssr> eng(p, std::move(init),
-                                                 derive_seed(401, trial));
-          reset_seen = probe(eng);
-        }
+        const bool reset_seen = with_engine(engine, p, std::move(init),
+                                            derive_seed(401, trial), probe);
         false_positives += reset_seen ? 1 : 0;
       }
       t.add_row({retention < 0 ? "never (paper)" : std::to_string(retention),

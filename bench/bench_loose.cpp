@@ -17,7 +17,6 @@
 #include "common.hpp"
 #include "pp/convergence.hpp"
 #include "pp/scheduler.hpp"
-#include "pp/sharded_scheduler.hpp"
 #include "pp/trial.hpp"
 #include "protocols/loose_stabilizing.hpp"
 
@@ -55,17 +54,7 @@ loose_outcome run_once(std::uint32_t n, std::uint32_t t_max,
     return out;
   };
 
-  if (spec.kind == engine_kind::direct) {
-    direct_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), seed);
-    return drive(eng);
-  }
-  if (spec.kind == engine_kind::sharded) {
-    sharded_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), seed,
-                                             {.shards = spec.shards});
-    return drive(eng);
-  }
-  batched_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), seed);
-  return drive(eng);
+  return with_engine(spec, p, p.dead_configuration(), seed, drive);
 }
 
 }  // namespace

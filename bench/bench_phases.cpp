@@ -114,17 +114,7 @@ phase_breakdown run_phases(std::uint32_t n, optimal_silent_scenario scenario,
     out.total = eng.parallel_time();
   };
 
-  if (spec.kind == engine_kind::direct) {
-    direct_engine<optimal_silent_ssr> eng(p, std::move(agents), seed);
-    drive(eng);
-  } else if (spec.kind == engine_kind::sharded) {
-    sharded_engine<optimal_silent_ssr> eng(p, std::move(agents), seed,
-                                           {.shards = spec.shards});
-    drive(eng);
-  } else {
-    batched_engine<optimal_silent_ssr> eng(p, std::move(agents), seed);
-    drive(eng);
-  }
+  with_engine(spec, p, std::move(agents), seed, drive);
 
   out.converged = tracker.correct();
   if (t_trigger >= 0) {

@@ -13,8 +13,8 @@
 #include "analysis/statistics.hpp"
 #include "analysis/table.hpp"
 #include "common.hpp"
+#include "pp/convergence.hpp"
 #include "pp/scheduler.hpp"
-#include "pp/sharded_scheduler.hpp"
 #include "pp/trial.hpp"
 #include "protocols/propagate_reset.hpp"
 
@@ -109,17 +109,7 @@ reset_run run_reset(std::uint32_t n, std::uint64_t seed, engine_spec spec) {
     for (const auto& a : eng.agents()) out.clean &= a.resets == 1;
   };
 
-  if (spec.kind == engine_kind::direct) {
-    direct_engine<toy_reset_protocol> eng(p, std::move(agents), seed);
-    drive(eng);
-  } else if (spec.kind == engine_kind::sharded) {
-    sharded_engine<toy_reset_protocol> eng(p, std::move(agents), seed,
-                                           {.shards = spec.shards});
-    drive(eng);
-  } else {
-    batched_engine<toy_reset_protocol> eng(p, std::move(agents), seed);
-    drive(eng);
-  }
+  with_engine(spec, p, std::move(agents), seed, drive);
   return out;
 }
 

@@ -13,7 +13,6 @@
 #include "common.hpp"
 #include "pp/convergence.hpp"
 #include "pp/engine.hpp"
-#include "pp/simulation.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
@@ -23,14 +22,23 @@ namespace {
 
 using namespace ssr;
 
+/// Runs one interaction of `engine` per benchmark iteration.
+template <class E>
+void step_each_iteration(benchmark::State& state, E& engine) {
+  for (auto _ : state) {
+    engine.run(engine.interactions() + 1, [](const agent_pair&) {},
+               [](const agent_pair&, bool) { return false; });
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 void BM_BaselineDirectInteractions(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   silent_n_state_ssr p(n);
   rng_t rng(1);
   auto init = adversarial_configuration(p, rng);
-  simulation<silent_n_state_ssr> sim(p, std::move(init), 2);
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(state.iterations());
+  direct_engine<silent_n_state_ssr> engine(p, std::move(init), 2);
+  step_each_iteration(state, engine);
 }
 BENCHMARK(BM_BaselineDirectInteractions)->Arg(64)->Arg(1024);
 
@@ -48,9 +56,8 @@ BENCHMARK(BM_BaselineAcceleratedStabilization)->Arg(256)->Arg(1024);
 void BM_OptimalSilentInteractions(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   optimal_silent_ssr p(n);
-  simulation<optimal_silent_ssr> sim(p, p.initial_configuration(), 3);
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(state.iterations());
+  direct_engine<optimal_silent_ssr> engine(p, p.initial_configuration(), 3);
+  step_each_iteration(state, engine);
 }
 BENCHMARK(BM_OptimalSilentInteractions)->Arg(64)->Arg(1024);
 
@@ -59,9 +66,9 @@ void BM_SublinearInteractions(benchmark::State& state) {
   const auto h = static_cast<std::uint32_t>(state.range(1));
   sublinear_time_ssr p(n, h);
   rng_t rng(4);
-  simulation<sublinear_time_ssr> sim(p, p.initial_configuration(rng), 5);
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(state.iterations());
+  direct_engine<sublinear_time_ssr> engine(p, p.initial_configuration(rng),
+                                           5);
+  step_each_iteration(state, engine);
 }
 BENCHMARK(BM_SublinearInteractions)
     ->Args({16, 1})

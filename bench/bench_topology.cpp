@@ -14,7 +14,9 @@
 #include "analysis/statistics.hpp"
 #include "analysis/table.hpp"
 #include "common.hpp"
-#include "pp/graph_simulation.hpp"
+#include "pp/convergence.hpp"
+#include "pp/engine.hpp"
+#include "pp/graph.hpp"
 #include "pp/trial.hpp"
 #include "protocols/silent_n_state.hpp"
 
@@ -39,21 +41,20 @@ outcome run_on_graph(const P& p, const interaction_graph& base_graph,
   const std::uint32_t n = p.population_size();
   for (std::size_t i = 0; i < trials; ++i) {
     const std::uint64_t s = derive_seed(seed, i);
-    const interaction_graph g =
-        regenerate_graph ? interaction_graph::erdos_renyi(n, er_p, s)
-                         : base_graph;
+    interaction_graph g = regenerate_graph
+                              ? interaction_graph::erdos_renyi(n, er_p, s)
+                              : base_graph;
     rng_t rng(s);
-    graph_simulation<P> sim(p, g, make_config(rng), s ^ 0x7f4a7c15);
-    const auto limit =
-        static_cast<std::uint64_t>(max_time * static_cast<double>(n));
-    const bool done = sim.run_until(
-        [](const graph_simulation<P>& sm) {
-          return is_valid_ranking(sm.protocol(), sm.agents());
-        },
-        limit);
-    if (done) {
+    direct_engine<P, interaction_graph> engine(p, std::move(g),
+                                               make_config(rng),
+                                               s ^ 0x7f4a7c15);
+    // A silent protocol's first valid ranking is final, so the run core
+    // with no confirmation window stops exactly there.
+    const convergence_result result = measure_convergence_run(
+        engine, convergence_options{.max_parallel_time = max_time});
+    if (result.converged) {
       ++out.converged;
-      out.times.push_back(sim.parallel_time());
+      out.times.push_back(result.convergence_time);
     }
   }
   return out;
@@ -79,9 +80,10 @@ int main(int argc, char** argv) {
   reporter rep(args, "E9", "Complete-graph assumption, quantified");
   if (args.engine.kind != engine_kind::direct) {
     std::cout << "(note: this bench samples interactions from non-complete "
-                 "graphs, which only the\n graph simulator supports -- the "
-                 "engines assume the uniform complete-graph\n scheduler, so "
-                 "the flag selects nothing here)\n";
+                 "graphs, which only the\n direct engine's graph scheduler "
+                 "supports -- the other engines assume the uniform\n "
+                 "complete-graph scheduler, so the flag selects nothing "
+                 "here)\n";
   }
 
   const std::uint32_t n = 16;

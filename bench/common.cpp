@@ -371,7 +371,7 @@ std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
   obs::timeline_scope phase(obs::profiler_default(), "phase.detection");
   return run_trials(
       trials, seed,
-      [=](std::uint64_t s, engine_kind kind) {
+      [=](std::uint64_t s, engine_kind) {
         sublinear_time_ssr p(n, h);
         rng_t rng(s);
         auto init = adversarial_configuration(
@@ -395,23 +395,11 @@ std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
             throw std::runtime_error("collision never detected");
           return eng.parallel_time();
         };
-        if (kind == engine_kind::direct) {
-          direct_engine<sublinear_time_ssr> eng(p, std::move(init),
-                                                s ^ 0xc2b2ae35);
-          eng.attach_profiler(obs::profiler_default());
-          return detect(eng);
-        }
-        if (kind == engine_kind::sharded) {
-          sharded_engine<sublinear_time_ssr> eng(p, std::move(init),
-                                                 s ^ 0xc2b2ae35,
-                                                 {.shards = engine.shards});
-          eng.attach_profiler(obs::profiler_default());
-          return detect(eng);
-        }
-        batched_engine<sublinear_time_ssr> eng(p, std::move(init),
-                                               s ^ 0xc2b2ae35);
-        eng.attach_profiler(obs::profiler_default());
-        return detect(eng);
+        return with_engine(engine, p, std::move(init), s ^ 0xc2b2ae35,
+                           [&](auto& eng) {
+                             eng.attach_profiler(obs::profiler_default());
+                             return detect(eng);
+                           });
       },
       {.parallel = parallel, .engine = engine});
 }

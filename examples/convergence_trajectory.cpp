@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "analysis/timeseries.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 
@@ -19,7 +19,7 @@ int main() {
   rng_t scenario_rng(7);
   auto initial = adversarial_configuration(
       protocol, optimal_silent_scenario::duplicated_ranks, scenario_rng);
-  simulation<optimal_silent_ssr> sim(protocol, std::move(initial), 11);
+  direct_engine<optimal_silent_ssr> sim(protocol, std::move(initial), 11);
 
   time_series series({"settled", "unsettled", "resetting"});
   auto sample = [&] {
@@ -31,7 +31,8 @@ int main() {
 
   sample();
   while (!is_valid_ranking(protocol, sim.agents())) {
-    for (int i = 0; i < 64; ++i) sim.step();
+    sim.run(sim.interactions() + 64, [](const agent_pair&) {},
+            [](const agent_pair&, bool) { return false; });
     sample();
   }
 

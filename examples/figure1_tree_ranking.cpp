@@ -10,7 +10,7 @@
 #include <iostream>
 #include <vector>
 
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/optimal_silent.hpp"
 
 namespace {
@@ -63,24 +63,22 @@ int main() {
     config[i].errorcount = protocol.params().e_max;
   }
 
-  simulation<optimal_silent_ssr> sim(protocol, std::move(config), /*seed=*/5);
+  direct_engine<optimal_silent_ssr> sim(protocol, std::move(config),
+                                        /*seed=*/5);
+  const auto no_pre = [](const agent_pair&) {};
 
   std::cout << "Figure 1 reproduction: rank assignment in Optimal-Silent-SSR"
             << " with n = " << n << " agents\n\n";
 
-  sim.run_until(
-      [](const simulation<optimal_silent_ssr>& s) {
-        return settled_count(s.agents()) >= 8;
-      },
-      10'000'000ull);
+  sim.run(10'000'000ull, no_pre, [&](const agent_pair&, bool) {
+    return settled_count(sim.agents()) >= 8;
+  });
   std::cout << "snapshot at parallel time " << sim.parallel_time() << ":\n";
   render_tree(sim.agents());
 
-  sim.run_until(
-      [](const simulation<optimal_silent_ssr>& s) {
-        return is_valid_ranking(s.protocol(), s.agents());
-      },
-      100'000'000ull);
+  sim.run(100'000'000ull, no_pre, [&](const agent_pair&, bool) {
+    return is_valid_ranking(protocol, sim.agents());
+  });
   std::cout << "\ncompleted at parallel time " << sim.parallel_time()
             << " (expected Theta(n)):\n";
   render_tree(sim.agents());

@@ -4,12 +4,13 @@
 // Demonstrates the core public API:
 //   1. construct a protocol for a known population size n,
 //   2. build a starting configuration (here: adversarial),
-//   3. run it under the uniform random scheduler,
+//   3. run it on the direct engine (uniform random scheduler) until the
+//      ranking is valid,
 //   4. read off the ranking / leader once stabilized.
 #include <iostream>
 
 #include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 
@@ -27,12 +28,15 @@ int main() {
 
   std::cout << "population: " << n << " agents, all dormant, no leader\n";
 
-  simulation<optimal_silent_ssr> sim(protocol, std::move(initial), /*seed=*/7);
-  const bool done = sim.run_until(
-      [](const simulation<optimal_silent_ssr>& s) {
-        return is_valid_ranking(s.protocol(), s.agents());
-      },
-      /*max_interactions=*/100'000'000ull);
+  direct_engine<optimal_silent_ssr> sim(protocol, std::move(initial),
+                                        /*seed=*/7);
+  // run(budget, pre, post) calls post after every interaction and stops
+  // when it returns true.
+  const bool done = sim.run(
+      /*max_interactions=*/100'000'000ull, [](const agent_pair&) {},
+      [&](const agent_pair&, bool) {
+        return is_valid_ranking(protocol, sim.agents());
+      });
 
   if (!done) {
     std::cerr << "did not stabilize within the interaction budget\n";
@@ -52,6 +56,6 @@ int main() {
 
   // Because the protocol is silent, the configuration is now frozen:
   std::cout << "configuration is silent: "
-            << (sim.is_silent_configuration() ? "yes" : "no") << "\n";
+            << (is_silent_configuration(sim) ? "yes" : "no") << "\n";
   return 0;
 }

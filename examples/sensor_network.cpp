@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include "analysis/table.hpp"
+#include "pp/engine.hpp"
 #include "pp/random.hpp"
-#include "pp/simulation.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 
@@ -21,8 +21,13 @@ using namespace ssr;
 
 constexpr std::uint32_t n = 64;
 
-bool stabilized(const simulation<optimal_silent_ssr>& s) {
-  return is_valid_ranking(s.protocol(), s.agents());
+/// Runs `sim` until its ranking is valid again, or `max_interactions`.
+void run_until_stabilized(direct_engine<optimal_silent_ssr>& sim,
+                          std::uint64_t max_interactions) {
+  sim.run(max_interactions, [](const agent_pair&) {},
+          [&](const agent_pair&, bool) {
+            return is_valid_ranking(sim.protocol(), sim.agents());
+          });
 }
 
 }  // namespace
@@ -31,9 +36,9 @@ int main() {
   optimal_silent_ssr protocol(n);
 
   // Deploy: sensors boot Unsettled (a clean start, for once).
-  simulation<optimal_silent_ssr> sim(protocol, protocol.initial_configuration(),
-                                     /*seed=*/11);
-  sim.run_until(stabilized, 1'000'000'000ull);
+  direct_engine<optimal_silent_ssr> sim(
+      protocol, protocol.initial_configuration(), /*seed=*/11);
+  run_until_stabilized(sim, 1'000'000'000ull);
   std::cout << "deployment: coordinator elected after "
             << format_fixed(sim.parallel_time(), 1) << " time units\n\n";
 
@@ -51,7 +56,7 @@ int main() {
           protocol, optimal_silent_scenario::uniform_random, fault_rng)[0];
     }
     const double before = sim.parallel_time();
-    sim.run_until(stabilized, sim.interactions() + 4'000'000'000ull);
+    run_until_stabilized(sim, sim.interactions() + 4'000'000'000ull);
     const double recovery = sim.parallel_time() - before;
     report.add_row({std::to_string(burst + 1), std::to_string(victims),
                     format_fixed(recovery, 1) + " time units",

@@ -159,12 +159,11 @@ class leader_tracker {
   std::uint64_t count_ = 0;
 };
 
-/// Runs `sim` -- an engine, or graph_simulation -- until "exactly one
-/// leader" equals `unique` after some interaction, or until `budget`
-/// interactions.  `leaders` holds the configuration's count and stays
-/// current: the pre hook captures the two leader bits, so each interaction
-/// costs O(1).  `on_step` runs after every interaction.  Returns true iff
-/// the predicate was reached.
+/// Runs the engine `sim` until "exactly one leader" equals `unique` after
+/// some interaction, or until `budget` interactions.  `leaders` holds the
+/// configuration's count and stays current: the pre hook captures the two
+/// leader bits, so each interaction costs O(1).  `on_step` runs after every
+/// interaction.  Returns true iff the predicate was reached.
 template <class Sim, class OnStep>
 bool run_until_unique_leader_is(Sim& sim, leader_tracker& leaders,
                                 bool unique, std::uint64_t budget,
@@ -468,64 +467,70 @@ convergence_result measure_convergence_run(
   }
 }
 
-/// Runs `protocol` from `initial` under the uniform scheduler and measures
-/// convergence per the options.  `final_config`, when non-null, receives the
-/// configuration at the end of the run.  Equivalent to
-/// measure_convergence_with(engine_kind::direct, ...).
-template <measurable_protocol P>
-convergence_result measure_convergence(
-    P protocol, std::vector<typename P::agent_state> initial,
-    std::uint64_t seed, const convergence_options& opt = {},
-    std::vector<typename P::agent_state>* final_config = nullptr) {
-  SSR_REQUIRE(initial.size() == protocol.population_size());
-  direct_engine<P> engine(std::move(protocol), std::move(initial), seed);
-  engine.attach_profiler(opt.profiler != nullptr ? opt.profiler
-                                                : obs::profiler_default());
-  if (opt.counters != nullptr) engine.attach_counters(opt.counters);
-  return measure_convergence_run(engine, opt, final_config);
+/// Builds the engine `spec` names for `protocol` from `initial` under the
+/// uniform scheduler and returns fn(engine).  This is the one place an
+/// engine_spec becomes an engine: the run core, ssr_cli and the benches
+/// all come through here.  No telemetry is attached; fn attaches what it
+/// wants.
+template <population_protocol P, class Fn>
+decltype(auto) with_engine(engine_spec spec, P protocol,
+                           std::vector<typename P::agent_state> initial,
+                           std::uint64_t seed, Fn&& fn) {
+  switch (spec.kind) {
+    case engine_kind::direct: {
+      direct_engine<P> engine(std::move(protocol), std::move(initial), seed);
+      return fn(engine);
+    }
+    case engine_kind::sharded: {
+      sharded_engine<P> engine(std::move(protocol), std::move(initial), seed,
+                               {.shards = spec.shards});
+      return fn(engine);
+    }
+    case engine_kind::batched:
+      break;
+  }
+  batched_engine<P> engine(std::move(protocol), std::move(initial), seed);
+  return fn(engine);
 }
 
-/// Engine-selectable variant: runs the measurement on the requested engine.
-/// All engines sample the same stabilization-time distribution
-/// (tests/engine_equivalence_test.cpp); the batched engine is the one that
-/// reaches n >= 10^6 (see docs/protocol_map.md, "Engines"), and the sharded
-/// engine (spec.shards workers) the one that uses more than one core.  The
-/// measurement needs per-interaction hooks, so the sharded engine runs its
-/// sequential hooked mode here -- the trajectory is bit-identical to the
-/// threaded run_parallel (tests/sharded_scheduler_fuzz_test.cpp).
+/// Runs the measurement on the engine `spec` names.  All engines sample the
+/// same stabilization-time distribution (tests/engine_equivalence_test.cpp);
+/// the batched engine is the one that reaches n >= 10^6 (see
+/// docs/protocol_map.md, "Engines"), and the sharded engine (spec.shards
+/// workers) the one that uses more than one core.  The measurement needs
+/// per-interaction hooks, so the sharded engine runs its sequential hooked
+/// mode here -- the trajectory is bit-identical to the threaded
+/// run_parallel (tests/sharded_scheduler_fuzz_test.cpp).
+/// `final_config`, when non-null, receives the configuration at the end of
+/// the run.
 template <measurable_protocol P>
 convergence_result measure_convergence_with(
     engine_spec spec, P protocol, std::vector<typename P::agent_state> initial,
     std::uint64_t seed, const convergence_options& opt = {},
     std::vector<typename P::agent_state>* final_config = nullptr) {
   SSR_REQUIRE(initial.size() == protocol.population_size());
-  // Profiling hook: opt.profiler (per-request collectors, e.g. serve jobs)
-  // wins; otherwise the process-wide default a bench front end installed
-  // with --profile is attached.
-  switch (spec.kind) {
-    case engine_kind::direct: {
-      direct_engine<P> engine(std::move(protocol), std::move(initial), seed);
-      engine.attach_profiler(opt.profiler != nullptr ? opt.profiler
-                                                : obs::profiler_default());
-      if (opt.counters != nullptr) engine.attach_counters(opt.counters);
-      return measure_convergence_run(engine, opt, final_config);
-    }
-    case engine_kind::sharded: {
-      sharded_engine<P> engine(std::move(protocol), std::move(initial), seed,
-                               {.shards = spec.shards});
-      engine.attach_profiler(opt.profiler != nullptr ? opt.profiler
-                                                : obs::profiler_default());
-      if (opt.counters != nullptr) engine.attach_counters(opt.counters);
-      return measure_convergence_run(engine, opt, final_config);
-    }
-    case engine_kind::batched:
-      break;
-  }
-  batched_engine<P> engine(std::move(protocol), std::move(initial), seed);
-  engine.attach_profiler(opt.profiler != nullptr ? opt.profiler
-                                                : obs::profiler_default());
-  if (opt.counters != nullptr) engine.attach_counters(opt.counters);
-  return measure_convergence_run(engine, opt, final_config);
+  return with_engine(
+      spec, std::move(protocol), std::move(initial), seed, [&](auto& engine) {
+        // Profiling hook: opt.profiler (per-request collectors, e.g. serve
+        // jobs) wins; otherwise the process-wide default a bench front end
+        // installed with --profile is attached.
+        engine.attach_profiler(opt.profiler != nullptr
+                                   ? opt.profiler
+                                   : obs::profiler_default());
+        if (opt.counters != nullptr) engine.attach_counters(opt.counters);
+        return measure_convergence_run(engine, opt, final_config);
+      });
+}
+
+/// measure_convergence_with on the direct engine: `protocol` from
+/// `initial` under the uniform scheduler.
+template <measurable_protocol P>
+convergence_result measure_convergence(
+    P protocol, std::vector<typename P::agent_state> initial,
+    std::uint64_t seed, const convergence_options& opt = {},
+    std::vector<typename P::agent_state>* final_config = nullptr) {
+  return measure_convergence_with(engine_kind::direct, std::move(protocol),
+                                  std::move(initial), seed, opt, final_config);
 }
 
 }  // namespace ssr

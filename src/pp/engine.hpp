@@ -4,9 +4,12 @@
 // ordered pairs of distinct agents, transition applied per pair -- and
 // differs only in how much work each simulated interaction costs:
 //
-//   direct_engine<P>    one RNG draw + one transition call per interaction
-//                       (the reference semantics; identical to
-//                       simulation<P> stepping).
+//   direct_engine<P>    one scheduler draw + one transition call per
+//                       interaction (the reference semantics).  Its second
+//                       parameter is the scheduler: uniform_pairs by
+//                       default; an interaction_graph (pp/graph.hpp)
+//                       instead draws only the pairs a topology allows,
+//                       the one engine that runs off the complete graph.
 //   batched_engine<P>   for batch_countable_protocol P: a count-based
 //                       configuration index (per-key agent buckets + a
 //                       Fenwick tree of same-key pair weights) that skips
@@ -43,6 +46,7 @@
 // the interaction budget was exhausted.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -120,21 +124,42 @@ concept simulation_engine =
       } -> std::same_as<bool>;
     };
 
-/// The reference engine: per-interaction stepping, identical RNG stream and
-/// trajectory to simulation<P>.
-template <population_protocol P>
+/// The reference engine: per-interaction stepping.  Each interaction draws
+/// one pair from the scheduler and applies the transition with the same
+/// RNG.  The default scheduler, uniform_pairs, is sample_pair over the
+/// population: direct_engine<P> runs the historical loop, whose RNG stream
+/// every seed-pinned result assumes (tests/determinism_test.cpp pins it to
+/// a sample_pair + interact reference loop).  Any other scheduler, such as
+/// an interaction_graph (pp/graph.hpp), has size() and sample(rng_t&).
+template <population_protocol P, class Scheduler = uniform_pairs>
 class direct_engine {
+  static constexpr bool uniform = std::same_as<Scheduler, uniform_pairs>;
+
  public:
   using protocol_type = P;
   using agent_state = typename P::agent_state;
 
+  /// Runs under the paper's scheduler: uniform ordered pairs.
   direct_engine(P protocol, std::vector<agent_state> initial,
                 std::uint64_t seed)
+    requires uniform
       : protocol_(std::move(protocol)),
         agents_(std::move(initial)),
         rng_(seed) {
     SSR_REQUIRE(agents_.size() == protocol_.population_size());
     SSR_REQUIRE(agents_.size() >= 2);
+  }
+
+  /// Runs under `scheduler`, which must cover the whole population.
+  direct_engine(P protocol, Scheduler scheduler,
+                std::vector<agent_state> initial, std::uint64_t seed)
+    requires(!uniform)
+      : protocol_(std::move(protocol)),
+        agents_(std::move(initial)),
+        rng_(seed),
+        scheduler_(std::move(scheduler)) {
+    SSR_REQUIRE(agents_.size() == protocol_.population_size());
+    SSR_REQUIRE(scheduler_.size() == protocol_.population_size());
   }
 
   template <class Pre, class Post>
@@ -174,16 +199,24 @@ class direct_engine {
   bool quiescent() const { return false; }  // no structural knowledge
 
   std::span<const agent_state> agents() const { return agents_; }
+  /// Mutable access supports fault injection (transient-fault experiments
+  /// corrupt states mid-run) -- this models the adversary, not the protocol.
   std::span<agent_state> mutable_agents() { return agents_; }
   const P& protocol() const { return protocol_; }
+  const Scheduler& scheduler() const { return scheduler_; }
   rng_t& rng() { return rng_; }
 
  private:
   template <class Pre, class Post>
   bool run_loop(std::uint64_t max_interactions, Pre&& pre, Post&& post) {
-    const std::uint32_t n = population_size();
+    [[maybe_unused]] const std::uint32_t n = population_size();
     while (interactions_ < max_interactions) {
-      const agent_pair pair = sample_pair(rng_, n);
+      agent_pair pair;
+      if constexpr (uniform) {
+        pair = sample_pair(rng_, n);
+      } else {
+        pair = scheduler_.sample(rng_);
+      }
       pre(pair);
       const bool changed = protocol_.interact(agents_[pair.initiator],
                                               agents_[pair.responder], rng_);
@@ -203,7 +236,37 @@ class direct_engine {
   std::uint64_t interactions_ = 0;
   obs::engine_counters* counters_ = nullptr;
   obs::timeline_profiler* profiler_ = nullptr;
+  [[no_unique_address]] Scheduler scheduler_;
 };
+
+/// True iff no pair the engine's scheduler can draw has a non-null
+/// transition, i.e. the configuration is silent (Section 2, "Silent
+/// protocols").  On a graph only adjacent pairs count, so a configuration
+/// may be silent on a sparse graph while the same multiset of states is not
+/// on the complete graph -- the livelocks tests/topology_test.cpp
+/// demonstrates.  O(pairs); intended for tests and small n.  Transitions
+/// are probed on copies, so the configuration is not disturbed.
+template <population_protocol P, class Scheduler>
+bool is_silent_configuration(const direct_engine<P, Scheduler>& engine) {
+  P probe = engine.protocol();
+  rng_t probe_rng(0xdeadbeef);
+  const auto agents = engine.agents();
+  const auto changes = [&](std::uint32_t i, std::uint32_t j) {
+    typename P::agent_state a = agents[i];
+    typename P::agent_state b = agents[j];
+    return probe.interact(a, b, probe_rng);
+  };
+  if constexpr (std::same_as<Scheduler, uniform_pairs>) {
+    const std::uint32_t n = engine.population_size();
+    for (std::uint32_t i = 0; i < n; ++i)
+      for (std::uint32_t j = 0; j < n; ++j)
+        if (i != j && changes(i, j)) return false;
+  } else {
+    for (const auto& [u, v] : engine.scheduler().edges())
+      if (changes(u, v) || changes(v, u)) return false;
+  }
+  return true;
+}
 
 namespace detail {
 

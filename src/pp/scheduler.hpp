@@ -25,4 +25,10 @@ struct agent_pair {
 /// size n (n >= 2).
 agent_pair sample_pair(rng_t& rng, std::uint32_t n);
 
+/// The scheduler above as a type: direct_engine's default.  It holds no
+/// state, because the engine draws sample_pair over its own population.
+/// interaction_graph (pp/graph.hpp) is the other scheduler, one uniform
+/// edge per draw.
+struct uniform_pairs {};
+
 }  // namespace ssr

@@ -18,14 +18,12 @@
 #include "pp/convergence.hpp"
 #include "pp/engine.hpp"
 #include "pp/graph.hpp"
-#include "pp/graph_simulation.hpp"
 #include "pp/protocol.hpp"
 #include "pp/random.hpp"
 #include "pp/rng.hpp"
 #include "pp/scheduler.hpp"
 #include "pp/sharded_scheduler.hpp"
 #include "pp/simd.hpp"
-#include "pp/simulation.hpp"
 #include "pp/trial.hpp"
 #include "processes/analytic.hpp"
 #include "processes/bounded_epidemic.hpp"

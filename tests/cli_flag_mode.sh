@@ -7,7 +7,8 @@
 #                trial converged (baseline on direct is the exception:
 #                `ssr_cli run` uses the exact jump simulator there)
 #   observers    --trace-out, --profile and --json leave the `stabilized
-#                at` line unchanged
+#                at` line unchanged, graph runs included, and a graph
+#                run's --json carries the engine counters
 #   large-n      optimal at n=1e6 with --max-time=1 exits 1 with "did NOT
 #                stabilize" on direct, batched and sharded(2)
 #   bad-values   malformed or out-of-range flag values are usage errors:
@@ -118,7 +119,8 @@ observers)
       "--protocol=optimal --n=24 --scenario=no_leader --seed=3 --engine=batched" \
       "--protocol=baseline --n=12 --seed=5" \
       "--protocol=sublinear --n=8 --h=2 --scenario=single_collision --seed=7 --engine=batched" \
-      "--protocol=loose --n=32 --seed=9 --engine=sharded --shards=2"; do
+      "--protocol=loose --n=32 --seed=9 --engine=sharded --shards=2" \
+      "--protocol=optimal --n=24 --scenario=no_leader --seed=3 --graph=gnp --graph-p=0.9"; do
     # Word splitting of $flags is intended.
     # shellcheck disable=SC2086
     plain=$(stabilized_line $flags)
@@ -132,6 +134,17 @@ observers)
     done
     echo "ok   $flags: $plain"
   done
+  # The graph run's direct engine executes every interaction it counts.
+  graph=$WORK/graph.json
+  "$CLI" --protocol=optimal --n=24 --scenario=no_leader --seed=3 --graph=gnp \
+    --graph-p=0.9 --json="$graph" > /dev/null 2>&1 ||
+    fail "graph run exited non-zero"
+  grep -q '"engine_counters"' "$graph" || fail "graph run: no engine_counters"
+  executed=$(json_field "$graph" interactions_executed)
+  interactions=$(json_field "$graph" interactions)
+  [ -n "$executed" ] && [ "$executed" = "$interactions" ] ||
+    fail "graph run: interactions_executed '$executed' != interactions '$interactions'"
+  echo "ok   graph run counters: $executed interactions executed"
   ;;
 large-n)
   for engine in direct batched "sharded --shards=2"; do
@@ -162,6 +175,7 @@ bad-values)
 --trace-sample-every --protocol=optimal --n=8 --trace-sample-every=x
 --trace-cap --protocol=optimal --n=8 --trace-cap=-1
 --graph=ring --protocol=baseline --n=2 --graph=ring
+--graph=gnp --protocol=optimal --n=30000 --graph=gnp
 graph --protocol=baseline --n=8 --graph=rign
 --ks-alpha compare $WORK/none --against $WORK/none --ks-alpha=abc
 --mean-tolerance compare $WORK/none --against $WORK/none --mean-tolerance=-1

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/silent_n_state.hpp"
 
 namespace ssr {
@@ -52,14 +52,14 @@ TEST(ContinuousTime, ConcentratesAroundParallelTime) {
 TEST(ContinuousTime, StabilizationTimesAgreeAcrossSemantics) {
   const std::uint32_t n = 32;
   silent_n_state_ssr p(n);
-  simulation<silent_n_state_ssr> sim(
+  direct_engine<silent_n_state_ssr> sim(
       p, std::vector<silent_n_state_ssr::agent_state>(n), 7);
   poisson_clock clock(n);
   rng_t clock_rng(8);
-  while (!is_valid_ranking(sim.protocol(), sim.agents())) {
-    sim.step();
+  sim.run(UINT64_MAX, [](const agent_pair&) {}, [&](const agent_pair&, bool) {
     clock.tick(clock_rng);
-  }
+    return is_valid_ranking(sim.protocol(), sim.agents());
+  });
   const double discrete = sim.parallel_time();
   const double continuous = clock.now();
   const double sigma =

@@ -5,18 +5,19 @@
 //     count and scheduling order cannot leak into results) -- for the
 //     legacy overload and for the engine-selecting overload under both
 //     engines;
-//   * simulation<P>::step trajectories replay exactly from a recorded seed;
-//   * direct_engine<P> consumes the RNG stream identically to simulation<P>,
-//     the contract that keeps every seed-pinned historical result valid
-//     under the engine-concept refactor.
+//   * direct_engine<P> trajectories replay exactly from a recorded seed;
+//   * direct_engine<P> consumes the RNG stream exactly as the reference loop
+//     "sample_pair, then interact" does, the contract that keeps every
+//     seed-pinned historical result valid.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "pp/convergence.hpp"
+#include "engine_steps.hpp"
 #include "pp/engine.hpp"
-#include "pp/simulation.hpp"
+#include "pp/scheduler.hpp"
 #include "pp/trial.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
@@ -69,18 +70,18 @@ TEST(Determinism, SimulationStepReplaysExactly) {
   const std::uint64_t seed = 4242;
 
   // First run: record configuration snapshots along the trajectory.
-  simulation<optimal_silent_ssr> first(p, initial, seed);
+  direct_engine<optimal_silent_ssr> first(p, initial, seed);
   std::vector<std::string> snapshots;
   for (int chunk = 0; chunk < 10; ++chunk) {
-    for (int i = 0; i < 200; ++i) first.step();
+    run_for(first, 200);
     snapshots.push_back(to_text(p, first.agents()));
   }
 
   // Replay from the same recorded seed: every snapshot must match bit for
   // bit.
-  simulation<optimal_silent_ssr> replay(p, initial, seed);
+  direct_engine<optimal_silent_ssr> replay(p, initial, seed);
   for (int chunk = 0; chunk < 10; ++chunk) {
-    for (int i = 0; i < 200; ++i) replay.step();
+    run_for(replay, 200);
     EXPECT_EQ(snapshots[static_cast<std::size_t>(chunk)],
               to_text(p, replay.agents()))
         << "diverged by interaction " << (chunk + 1) * 200;
@@ -94,16 +95,24 @@ TEST(Determinism, DirectEngineMatchesSimulationTrajectory) {
   const auto initial = adversarial_configuration(p, config_rng);
   const std::uint64_t seed = 31337;
 
-  simulation<silent_n_state_ssr> sim(p, initial, seed);
+  // The reference semantics, written out: one uniform ordered pair from
+  // the seeded stream, then the transition on that same stream.
+  std::vector<silent_n_state_ssr::agent_state> reference = initial;
+  rng_t rng(seed);
+  std::uint64_t interactions = 0;
   direct_engine<silent_n_state_ssr> eng(p, initial, seed);
   for (int chunk = 0; chunk < 8; ++chunk) {
-    for (int i = 0; i < 250; ++i) sim.step();
-    eng.run(sim.interactions(), [](const agent_pair&) {},
+    for (int i = 0; i < 250; ++i, ++interactions) {
+      const agent_pair pair = sample_pair(rng, n);
+      p.interact(reference[pair.initiator], reference[pair.responder], rng);
+    }
+    eng.run(interactions, [](const agent_pair&) {},
             [](const agent_pair&, bool) { return false; });
-    ASSERT_EQ(eng.interactions(), sim.interactions());
-    EXPECT_EQ(to_text(p, sim.agents()), to_text(p, eng.agents()))
-        << "direct_engine diverged from simulation<P> by interaction "
-        << sim.interactions();
+    ASSERT_EQ(eng.interactions(), interactions);
+    EXPECT_EQ(to_text(p, reference), to_text(p, eng.agents()))
+        << "direct_engine diverged from sample_pair + interact by "
+           "interaction "
+        << interactions;
   }
 }
 

@@ -4,9 +4,10 @@
 // (Section 1, "Reliable leader election").
 #include <gtest/gtest.h>
 
+#include "engine_steps.hpp"
 #include "pp/convergence.hpp"
+#include "pp/engine.hpp"
 #include "pp/random.hpp"
-#include "pp/simulation.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
@@ -21,7 +22,7 @@ TEST(FaultInjection, BaselineRecoversFromRankCorruption) {
   std::vector<silent_n_state_ssr::agent_state> config(n);
   for (std::uint32_t i = 0; i < n; ++i) config[i].rank = i;
 
-  simulation<silent_n_state_ssr> sim(p, std::move(config), 21);
+  direct_engine<silent_n_state_ssr> sim(p, std::move(config), 21);
   rng_t faults(99);
   for (int round = 0; round < 3; ++round) {
     // Corrupt 5 agents' memories.
@@ -30,8 +31,9 @@ TEST(FaultInjection, BaselineRecoversFromRankCorruption) {
       sim.mutable_agents()[victim].rank =
           static_cast<std::uint32_t>(uniform_below(faults, n));
     }
-    const bool recovered = sim.run_until(
-        [](const simulation<silent_n_state_ssr>& s) {
+    const bool recovered = run_until(
+        sim,
+        [](const auto& s) {
           return is_valid_ranking(s.protocol(), s.agents());
         },
         sim.interactions() + 10'000'000ull);
@@ -46,7 +48,7 @@ TEST(FaultInjection, OptimalSilentRecoversFromLeaderLoss) {
   auto config =
       adversarial_configuration(p, optimal_silent_scenario::valid_ranking, rng);
 
-  simulation<optimal_silent_ssr> sim(p, std::move(config), 31);
+  direct_engine<optimal_silent_ssr> sim(p, std::move(config), 31);
   // Kill the leader: overwrite the rank-1 agent with a duplicate of rank 2.
   for (auto& s : sim.mutable_agents()) {
     if (s.rank == 1) {
@@ -55,8 +57,9 @@ TEST(FaultInjection, OptimalSilentRecoversFromLeaderLoss) {
     }
   }
   EXPECT_FALSE(is_valid_ranking(p, sim.agents()));
-  const bool recovered = sim.run_until(
-      [](const simulation<optimal_silent_ssr>& s) {
+  const bool recovered = run_until(
+      sim,
+      [](const auto& s) {
         return is_valid_ranking(s.protocol(), s.agents());
       },
       50'000'000ull);
@@ -70,7 +73,7 @@ TEST(FaultInjection, OptimalSilentRecoversFromRepeatedBursts) {
   rng_t scenario_rng(6);
   auto config = adversarial_configuration(
       p, optimal_silent_scenario::valid_ranking, scenario_rng);
-  simulation<optimal_silent_ssr> sim(p, std::move(config), 41);
+  direct_engine<optimal_silent_ssr> sim(p, std::move(config), 41);
 
   rng_t faults(123);
   for (int burst = 0; burst < 3; ++burst) {
@@ -79,8 +82,9 @@ TEST(FaultInjection, OptimalSilentRecoversFromRepeatedBursts) {
       victim = adversarial_configuration(
           p, optimal_silent_scenario::uniform_random, faults)[0];
     }
-    const bool recovered = sim.run_until(
-        [](const simulation<optimal_silent_ssr>& s) {
+    const bool recovered = run_until(
+        sim,
+        [](const auto& s) {
           return is_valid_ranking(s.protocol(), s.agents());
         },
         sim.interactions() + 50'000'000ull);
@@ -94,12 +98,13 @@ TEST(FaultInjection, SublinearRecoversFromNameDuplication) {
   rng_t rng(7);
   auto config =
       adversarial_configuration(p, sublinear_scenario::valid_ranking, rng);
-  simulation<sublinear_time_ssr> sim(p, std::move(config), 51);
+  direct_engine<sublinear_time_ssr> sim(p, std::move(config), 51);
   // Duplicate agent 0's identity into agent 1 (name, roster, rank).
   sim.mutable_agents()[1] = sim.agents()[0];
   EXPECT_FALSE(is_valid_ranking(p, sim.agents()));
-  const bool recovered = sim.run_until(
-      [](const simulation<sublinear_time_ssr>& s) {
+  const bool recovered = run_until(
+      sim,
+      [](const auto& s) {
         return is_valid_ranking(s.protocol(), s.agents());
       },
       20'000'000ull);

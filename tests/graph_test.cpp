@@ -6,10 +6,10 @@
 #include <map>
 
 #include "analysis/ks_test.hpp"
+#include "engine_steps.hpp"
 #include "pp/convergence.hpp"
+#include "pp/engine.hpp"
 #include "pp/trial.hpp"
-
-#include "pp/graph_simulation.hpp"
 #include "protocols/loose_stabilizing.hpp"
 #include "protocols/silent_n_state.hpp"
 
@@ -113,16 +113,17 @@ TEST(GraphSimulation, MatchesCompleteGraphSemantics) {
   // On the complete graph, the baseline stabilizes as usual.
   const std::uint32_t n = 8;
   silent_n_state_ssr p(n);
-  graph_simulation<silent_n_state_ssr> sim(
+  direct_engine<silent_n_state_ssr, interaction_graph> sim(
       p, interaction_graph::complete(n),
       std::vector<silent_n_state_ssr::agent_state>(n), 3);
-  const bool done = sim.run_until(
-      [](const graph_simulation<silent_n_state_ssr>& s) {
+  const bool done = run_until(
+      sim,
+      [](const auto& s) {
         return is_valid_ranking(s.protocol(), s.agents());
       },
       10'000'000ull);
   EXPECT_TRUE(done);
-  EXPECT_TRUE(sim.is_silent_configuration());
+  EXPECT_TRUE(is_silent_configuration(sim));
 }
 
 TEST(GraphSimulation, CompleteGraphSchedulerMatchesPairScheduler) {
@@ -135,11 +136,12 @@ TEST(GraphSimulation, CompleteGraphSchedulerMatchesPairScheduler) {
     return measure_convergence(p, init, seed).convergence_time;
   });
   const auto edge_sched = run_trials(300, 62000, [&](std::uint64_t seed) {
-    graph_simulation<silent_n_state_ssr> sim(
+    direct_engine<silent_n_state_ssr, interaction_graph> sim(
         p, interaction_graph::complete(n),
         std::vector<silent_n_state_ssr::agent_state>(n), seed);
-    sim.run_until(
-        [](const graph_simulation<silent_n_state_ssr>& s) {
+    run_until(
+        sim,
+        [](const auto& s) {
           return is_valid_ranking(s.protocol(), s.agents());
         },
         100'000'000ull);
@@ -150,24 +152,26 @@ TEST(GraphSimulation, CompleteGraphSchedulerMatchesPairScheduler) {
 }
 
 TEST(GraphSimulation, RunCoreStopsAtTheFirstCorrectConfiguration) {
-  // graph_simulation is a simulation_engine, so the run core measures
-  // graph runs; for a silent protocol and for loose LE the measurement is
-  // the first correct configuration a per-interaction check finds on the
-  // same trajectory.
-  static_assert(simulation_engine<graph_simulation<silent_n_state_ssr>>);
+  // A graph-scheduled direct_engine is a simulation_engine, so the run core
+  // measures graph runs; for a silent protocol and for loose LE the
+  // measurement is the first correct configuration a per-interaction check
+  // finds on the same trajectory.
+  static_assert(
+      simulation_engine<direct_engine<silent_n_state_ssr, interaction_graph>>);
   const std::uint32_t n = 8;
   const silent_n_state_ssr baseline(n);
   const loose_stabilizing_le loose(16, 12);
   int ranked = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    graph_simulation<silent_n_state_ssr> measured(
+    direct_engine<silent_n_state_ssr, interaction_graph> measured(
         baseline, interaction_graph::erdos_renyi(n, 0.9, seed),
         std::vector<silent_n_state_ssr::agent_state>(n), seed);
-    graph_simulation<silent_n_state_ssr> checked = measured;
+    direct_engine<silent_n_state_ssr, interaction_graph> checked = measured;
     const convergence_result result = measure_convergence_run(
         measured, convergence_options{.max_parallel_time = 1e5});
-    const bool done = checked.run_until(
-        [](const graph_simulation<silent_n_state_ssr>& s) {
+    const bool done = run_until(
+        checked,
+        [](const auto& s) {
           return is_valid_ranking(s.protocol(), s.agents());
         },
         std::uint64_t{100'000} * n);
@@ -177,14 +181,15 @@ TEST(GraphSimulation, RunCoreStopsAtTheFirstCorrectConfiguration) {
       ++ranked;
     }
 
-    graph_simulation<loose_stabilizing_le> leaders(
+    direct_engine<loose_stabilizing_le, interaction_graph> leaders(
         loose, interaction_graph::star(16), loose.dead_configuration(), seed);
-    graph_simulation<loose_stabilizing_le> counted = leaders;
+    direct_engine<loose_stabilizing_le, interaction_graph> counted = leaders;
     const convergence_result elected = measure_convergence_run(
         leaders, convergence_options{.max_parallel_time = 1e4});
     ASSERT_TRUE(elected.converged) << seed;
-    counted.run_until(
-        [&](const graph_simulation<loose_stabilizing_le>& s) {
+    run_until(
+        counted,
+        [&](const auto& s) {
           return loose.leader_count(s.agents()) == 1;
         },
         elected.interactions);
@@ -195,9 +200,10 @@ TEST(GraphSimulation, RunCoreStopsAtTheFirstCorrectConfiguration) {
 
 TEST(GraphSimulation, RejectsSizeMismatch) {
   silent_n_state_ssr p(8);
-  EXPECT_THROW(graph_simulation<silent_n_state_ssr>(
-                   p, interaction_graph::ring(6),
-                   std::vector<silent_n_state_ssr::agent_state>(8), 1),
+  using graph_engine = direct_engine<silent_n_state_ssr, interaction_graph>;
+  EXPECT_THROW(graph_engine(p, interaction_graph::ring(6),
+                            std::vector<silent_n_state_ssr::agent_state>(8),
+                            1),
                std::logic_error);
 }
 

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_steps.hpp"
 #include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "verify/reachability.hpp"
 
 namespace ssr {
@@ -28,8 +29,8 @@ TEST(InitializedRanking, SilentOnceRanked) {
   const auto r =
       measure_convergence(p, p.initial_configuration(), 7, {}, &final_config);
   ASSERT_TRUE(r.converged);
-  simulation<initialized_tree_ranking> sim(p, final_config, 1);
-  EXPECT_TRUE(sim.is_silent_configuration());
+  direct_engine<initialized_tree_ranking> sim(p, final_config, 1);
+  EXPECT_TRUE(is_silent_configuration(sim));
 }
 
 TEST(InitializedRanking, LinearTime) {
@@ -70,9 +71,9 @@ TEST(InitializedRanking, AllUnsettledDeadlocks) {
   const std::uint32_t n = 8;
   initialized_tree_ranking p(n);
   std::vector<initialized_tree_ranking::agent_state> config(n);  // no root
-  simulation<initialized_tree_ranking> sim(p, config, 3);
-  EXPECT_TRUE(sim.is_silent_configuration());
-  for (int i = 0; i < 10000; ++i) sim.step();
+  direct_engine<initialized_tree_ranking> sim(p, config, 3);
+  EXPECT_TRUE(is_silent_configuration(sim));
+  run_for(sim, 10000);
   EXPECT_FALSE(is_valid_ranking(p, sim.agents()));
 }
 

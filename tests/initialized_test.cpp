@@ -9,7 +9,8 @@
 //    cannot be stable under the smaller population's transitions).
 #include <gtest/gtest.h>
 
-#include "pp/simulation.hpp"
+#include "engine_steps.hpp"
+#include "pp/engine.hpp"
 #include "protocols/initialized.hpp"
 #include "protocols/silent_n_state.hpp"
 
@@ -26,15 +27,17 @@ std::size_t leaders(const initialized_leader_election& p,
 TEST(Initialized, ElectsUniqueLeaderFromDesignatedStart) {
   const std::uint32_t n = 64;
   initialized_leader_election p(n);
-  simulation<initialized_leader_election> sim(p, p.initial_configuration(), 3);
-  const bool done = sim.run_until(
-      [&](const simulation<initialized_leader_election>& s) {
+  direct_engine<initialized_leader_election> sim(p, p.initial_configuration(),
+                                                 3);
+  const bool done = run_until(
+      sim,
+      [&](const auto& s) {
         return leaders(s.protocol(), s.agents()) == 1;
       },
       10'000'000ull);
   ASSERT_TRUE(done);
   // Stable: the single leader can never be eliminated.
-  for (int i = 0; i < 100000; ++i) sim.step();
+  run_for(sim, 100000);
   EXPECT_EQ(leaders(p, sim.agents()), 1u);
 }
 
@@ -45,10 +48,10 @@ TEST(Initialized, UsesTwoStates) {
 TEST(Initialized, AllFollowersIsPermanentFailure) {
   const std::uint32_t n = 16;
   initialized_leader_election p(n);
-  simulation<initialized_leader_election> sim(p, p.all_followers(), 5);
+  direct_engine<initialized_leader_election> sim(p, p.all_followers(), 5);
   // The all-followers configuration is silent and leaderless forever.
-  EXPECT_TRUE(sim.is_silent_configuration());
-  for (int i = 0; i < 100000; ++i) sim.step();
+  EXPECT_TRUE(is_silent_configuration(sim));
+  run_for(sim, 100000);
   EXPECT_EQ(leaders(p, sim.agents()), 0u);
 }
 
@@ -83,16 +86,16 @@ TEST(Nonuniformity, SmallerProtocolInLargerPopulationCreatesExtraLeaders) {
   for (std::uint32_t i = 0; i < n2; ++i) config[i].rank = i % n1;
   // Initially there is exactly one agent at rank 0 among the first n1...
   // plus agent 8 also at rank 0 (duplicates are unavoidable by pigeonhole).
-  simulation<oversized_baseline> sim(p, std::move(config), 9);
+  direct_engine<oversized_baseline> sim(p, std::move(config), 9);
 
   // Track how often the configuration holds more than one leader (rank 0).
   std::size_t multi_leader_observations = 0;
-  for (int i = 0; i < 200000; ++i) {
-    sim.step();
+  sim.run(200000, [](const agent_pair&) {}, [&](const agent_pair&, bool) {
     std::size_t leaders = 0;
     for (const auto& s : sim.agents()) leaders += s.rank == 0 ? 1 : 0;
     multi_leader_observations += leaders > 1 ? 1 : 0;
-  }
+    return false;
+  });
   // The run must keep revisiting multi-leader configurations: no stable
   // single-leader configuration exists for the wrong population size.
   EXPECT_GT(multi_leader_observations, 100u);

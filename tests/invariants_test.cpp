@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <string>
 
+#include "engine_steps.hpp"
 #include "ssr.hpp"
 
 namespace ssr {
@@ -139,9 +140,9 @@ TEST(Invariants, SublinearCleanRunsNeverRevokeRanking) {
 // accounting across engines (direct simulation vs measured convergence).
 TEST(Invariants, ParallelTimeAccounting) {
   silent_n_state_ssr p(10);
-  simulation<silent_n_state_ssr> sim(
+  direct_engine<silent_n_state_ssr> sim(
       p, std::vector<silent_n_state_ssr::agent_state>(10), 1);
-  for (int i = 0; i < 1000; ++i) sim.step();
+  run_for(sim, 1000);
   EXPECT_DOUBLE_EQ(sim.parallel_time(), 100.0);
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "pp/scheduler.hpp"
-#include "pp/simulation.hpp"
 
 namespace ssr {
 namespace {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 
 namespace ssr {
@@ -164,8 +164,8 @@ TEST(OptimalSilent, CorrectConfigurationIsSilent) {
   const auto config = adversarial_configuration(
       p, optimal_silent_scenario::valid_ranking, rng);
   ASSERT_TRUE(is_valid_ranking(p, config));
-  simulation<optimal_silent_ssr> sim(p, config, 1);
-  EXPECT_TRUE(sim.is_silent_configuration());
+  direct_engine<optimal_silent_ssr> sim(p, config, 1);
+  EXPECT_TRUE(is_silent_configuration(sim));
 }
 
 TEST(OptimalSilent, StateCountIsLinear) {

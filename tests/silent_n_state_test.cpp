@@ -7,7 +7,7 @@
 #include "analysis/ks_test.hpp"
 #include "analysis/statistics.hpp"
 #include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "pp/trial.hpp"
 #include "protocols/adversary.hpp"
 
@@ -48,8 +48,8 @@ TEST(SilentNState, StabilizesFromAllZero) {
   ASSERT_TRUE(r.converged);
   EXPECT_TRUE(is_valid_ranking(p, final_config));
   // Silent once correct.
-  simulation<silent_n_state_ssr> sim(p, final_config, 1);
-  EXPECT_TRUE(sim.is_silent_configuration());
+  direct_engine<silent_n_state_ssr> sim(p, final_config, 1);
+  EXPECT_TRUE(is_silent_configuration(sim));
 }
 
 // Self-stabilization property: valid ranking reached from random

@@ -1,7 +1,11 @@
-#include "pp/simulation.hpp"
+// The direct engine's own contract (pp/engine.hpp), on the uniform
+// scheduler: time accounting, size checks, determinism, stopping, and the
+// silence probe.
+#include "pp/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include "engine_steps.hpp"
 #include "protocols/silent_n_state.hpp"
 
 namespace ssr {
@@ -13,35 +17,34 @@ std::vector<silent_n_state_ssr::agent_state> all_zero(std::uint32_t n) {
 
 TEST(Simulation, TracksInteractionsAndParallelTime) {
   silent_n_state_ssr protocol(10);
-  simulation<silent_n_state_ssr> sim(protocol, all_zero(10), 1);
-  for (int i = 0; i < 25; ++i) sim.step();
+  direct_engine<silent_n_state_ssr> sim(protocol, all_zero(10), 1);
+  run_for(sim, 25);
   EXPECT_EQ(sim.interactions(), 25u);
   EXPECT_DOUBLE_EQ(sim.parallel_time(), 2.5);
 }
 
 TEST(Simulation, RejectsMismatchedConfigurationSize) {
   silent_n_state_ssr protocol(10);
-  EXPECT_THROW(simulation<silent_n_state_ssr>(protocol, all_zero(9), 1),
+  EXPECT_THROW(direct_engine<silent_n_state_ssr>(protocol, all_zero(9), 1),
                std::logic_error);
 }
 
 TEST(Simulation, DeterministicForSameSeed) {
   silent_n_state_ssr protocol(8);
-  simulation<silent_n_state_ssr> sim1(protocol, all_zero(8), 99);
-  simulation<silent_n_state_ssr> sim2(protocol, all_zero(8), 99);
-  for (int i = 0; i < 500; ++i) {
-    sim1.step();
-    sim2.step();
-  }
+  direct_engine<silent_n_state_ssr> sim1(protocol, all_zero(8), 99);
+  direct_engine<silent_n_state_ssr> sim2(protocol, all_zero(8), 99);
+  run_for(sim1, 500);
+  run_for(sim2, 500);
   for (std::uint32_t i = 0; i < 8; ++i)
     EXPECT_EQ(sim1.agents()[i].rank, sim2.agents()[i].rank);
 }
 
 TEST(Simulation, RunUntilStopsOnPredicate) {
   silent_n_state_ssr protocol(6);
-  simulation<silent_n_state_ssr> sim(protocol, all_zero(6), 3);
-  const bool stopped = sim.run_until(
-      [](const simulation<silent_n_state_ssr>& s) {
+  direct_engine<silent_n_state_ssr> sim(protocol, all_zero(6), 3);
+  const bool stopped = run_until(
+      sim,
+      [](const auto& s) {
         return is_valid_ranking(s.protocol(), s.agents());
       },
       1'000'000);
@@ -51,9 +54,8 @@ TEST(Simulation, RunUntilStopsOnPredicate) {
 
 TEST(Simulation, RunUntilHonorsInteractionCap) {
   silent_n_state_ssr protocol(6);
-  simulation<silent_n_state_ssr> sim(protocol, all_zero(6), 3);
-  const bool stopped = sim.run_until(
-      [](const simulation<silent_n_state_ssr>&) { return false; }, 100);
+  direct_engine<silent_n_state_ssr> sim(protocol, all_zero(6), 3);
+  const bool stopped = run_until(sim, [](const auto&) { return false; }, 100);
   EXPECT_FALSE(stopped);
   EXPECT_EQ(sim.interactions(), 100u);
 }
@@ -63,20 +65,20 @@ TEST(Simulation, SilenceDetection) {
   // Distinct ranks: the unique silent configuration.
   std::vector<silent_n_state_ssr::agent_state> distinct(5);
   for (std::uint32_t i = 0; i < 5; ++i) distinct[i].rank = i;
-  simulation<silent_n_state_ssr> silent_sim(protocol, distinct, 1);
-  EXPECT_TRUE(silent_sim.is_silent_configuration());
+  direct_engine<silent_n_state_ssr> silent_sim(protocol, distinct, 1);
+  EXPECT_TRUE(is_silent_configuration(silent_sim));
 
-  simulation<silent_n_state_ssr> loud_sim(protocol, all_zero(5), 1);
-  EXPECT_FALSE(loud_sim.is_silent_configuration());
+  direct_engine<silent_n_state_ssr> loud_sim(protocol, all_zero(5), 1);
+  EXPECT_FALSE(is_silent_configuration(loud_sim));
 }
 
 TEST(Simulation, FaultInjectionThroughMutableAgents) {
   silent_n_state_ssr protocol(5);
   std::vector<silent_n_state_ssr::agent_state> distinct(5);
   for (std::uint32_t i = 0; i < 5; ++i) distinct[i].rank = i;
-  simulation<silent_n_state_ssr> sim(protocol, distinct, 1);
+  direct_engine<silent_n_state_ssr> sim(protocol, distinct, 1);
   sim.mutable_agents()[0].rank = 3;  // transient fault: duplicate rank 3
-  EXPECT_FALSE(sim.is_silent_configuration());
+  EXPECT_FALSE(is_silent_configuration(sim));
 }
 
 TEST(ProtocolConcepts, ValidRankingPredicate) {

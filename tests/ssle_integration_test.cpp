@@ -3,8 +3,9 @@
 // three protocols agree on what a correct configuration is.
 #include <gtest/gtest.h>
 
+#include "engine_steps.hpp"
 #include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
@@ -104,8 +105,8 @@ TEST(SsleIntegration, SilentProtocolsStayCorrect) {
     silent_n_state_ssr p(10);
     std::vector<silent_n_state_ssr::agent_state> config(10);
     for (std::uint32_t i = 0; i < 10; ++i) config[i].rank = i;
-    simulation<silent_n_state_ssr> sim(p, config, 1);
-    for (int i = 0; i < 50000; ++i) sim.step();
+    direct_engine<silent_n_state_ssr> sim(p, config, 1);
+    run_for(sim, 50000);
     EXPECT_TRUE(is_valid_ranking(sim.protocol(), sim.agents()));
   }
   {
@@ -113,8 +114,8 @@ TEST(SsleIntegration, SilentProtocolsStayCorrect) {
     rng_t rng(9);
     auto config = adversarial_configuration(
         p, optimal_silent_scenario::valid_ranking, rng);
-    simulation<optimal_silent_ssr> sim(p, std::move(config), 1);
-    for (int i = 0; i < 50000; ++i) sim.step();
+    direct_engine<optimal_silent_ssr> sim(p, std::move(config), 1);
+    run_for(sim, 50000);
     EXPECT_TRUE(is_valid_ranking(sim.protocol(), sim.agents()));
   }
 }

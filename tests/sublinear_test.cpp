@@ -5,8 +5,9 @@
 #include <set>
 
 #include "pp/convergence.hpp"
+#include "engine_steps.hpp"
+#include "pp/engine.hpp"
 #include "pp/scheduler.hpp"
-#include "pp/simulation.hpp"
 #include "protocols/adversary.hpp"
 
 namespace ssr {
@@ -226,9 +227,9 @@ TEST(Sublinear, NoFalsePositiveFromCleanConfiguration) {
     rng_t rng(41 * (h + 1));
     auto init = adversarial_configuration(
         p, sublinear_scenario::valid_ranking, rng);
-    simulation<sublinear_time_ssr> sim(p, std::move(init), 91 + h);
+    direct_engine<sublinear_time_ssr> sim(p, std::move(init), 91 + h);
     // Long run: any reset would destroy the ranking.
-    for (int step = 0; step < 20000; ++step) sim.step();
+    run_for(sim, 20000);
     EXPECT_TRUE(is_valid_ranking(sim.protocol(), sim.agents())) << "h=" << h;
     for (const auto& s : sim.agents())
       EXPECT_EQ(s.role, role_t::collecting) << "h=" << h;
@@ -241,10 +242,10 @@ TEST(Sublinear, TreeInvariantsHoldDuringExecution) {
   sublinear_time_ssr p(n, h);
   rng_t rng(5);
   auto init = p.initial_configuration(rng);
-  simulation<sublinear_time_ssr> sim(p, std::move(init), 55);
-  for (int step = 0; step < 3000; ++step) {
-    sim.step();
-    if (step % 500 != 0) continue;
+  direct_engine<sublinear_time_ssr> sim(p, std::move(init), 55);
+  // Checked after interactions 1, 501, ..., 2501.
+  for (std::uint64_t checked_at = 1; checked_at < 3000; checked_at += 500) {
+    run_for(sim, checked_at - sim.interactions());
     for (const auto& s : sim.agents()) {
       if (s.role != role_t::collecting) continue;
       EXPECT_LE(s.tree.depth(), h);

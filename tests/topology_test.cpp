@@ -6,7 +6,8 @@
 // that the complete graph verifies under the same machinery.
 #include <gtest/gtest.h>
 
-#include "pp/graph_simulation.hpp"
+#include "engine_steps.hpp"
+#include "pp/engine.hpp"
 #include "protocols/silent_n_state.hpp"
 #include "verify/graph_reachability.hpp"
 
@@ -53,11 +54,11 @@ TEST(Topology, ExplicitRingLivelockIsSilent) {
   config[1].rank = 1;
   config[2].rank = 0;
   config[3].rank = 1;
-  graph_simulation<silent_n_state_ssr> sim(p, interaction_graph::ring(n),
-                                           config, 1);
-  EXPECT_TRUE(sim.is_silent_configuration());
+  direct_engine<silent_n_state_ssr, interaction_graph> sim(
+      p, interaction_graph::ring(n), config, 1);
+  EXPECT_TRUE(is_silent_configuration(sim));
   EXPECT_FALSE(is_valid_ranking(p, sim.agents()));
-  for (int i = 0; i < 10000; ++i) sim.step();
+  run_for(sim, 10000);
   EXPECT_FALSE(is_valid_ranking(p, sim.agents()));  // stuck forever
 }
 
@@ -71,11 +72,12 @@ TEST(Topology, SameMultisetRecoversOnCompleteGraph) {
   config[1].rank = 1;
   config[2].rank = 0;
   config[3].rank = 1;
-  graph_simulation<silent_n_state_ssr> sim(p, interaction_graph::complete(n),
-                                           config, 1);
-  EXPECT_FALSE(sim.is_silent_configuration());
-  const bool done = sim.run_until(
-      [](const graph_simulation<silent_n_state_ssr>& s) {
+  direct_engine<silent_n_state_ssr, interaction_graph> sim(
+      p, interaction_graph::complete(n), config, 1);
+  EXPECT_FALSE(is_silent_configuration(sim));
+  const bool done = run_until(
+      sim,
+      [](const auto& s) {
         return is_valid_ranking(s.protocol(), s.agents());
       },
       1'000'000ull);
@@ -96,17 +98,18 @@ TEST(Topology, DenseRandomGraphsStillDeadlockFromCollisions) {
   int converged = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto g = interaction_graph::erdos_renyi(n, 0.8, seed);
-    graph_simulation<silent_n_state_ssr> sim(
+    direct_engine<silent_n_state_ssr, interaction_graph> sim(
         p, g, std::vector<silent_n_state_ssr::agent_state>(n), seed);
-    const bool done = sim.run_until(
-        [](const graph_simulation<silent_n_state_ssr>& s) {
+    const bool done = run_until(
+        sim,
+        [](const auto& s) {
           return is_valid_ranking(s.protocol(), s.agents());
         },
         5'000'000ull);
     if (done) {
       ++converged;
     } else {
-      EXPECT_TRUE(sim.is_silent_configuration()) << "seed " << seed;
+      EXPECT_TRUE(is_silent_configuration(sim)) << "seed " << seed;
       EXPECT_FALSE(is_valid_ranking(p, sim.agents())) << "seed " << seed;
     }
   }

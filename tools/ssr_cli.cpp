@@ -18,10 +18,11 @@
 // reported time is that scenario's samples[0], except for baseline on
 // --engine=direct, where `ssr_cli run` uses the exact jump simulator and
 // this mode steps direct_engine.  --engine picks the engine over the
-// complete graph; --graph=ring|star|path|gnp runs the same core on
-// graph_simulation.  --trace-every and --progress cut the run at
-// checkpoints, which keeps the trajectory on the direct engine and the
-// count engine but not on the block path or the sharded engine.
+// complete graph (with_engine in pp/convergence.hpp);
+// --graph=ring|star|path|gnp runs the same core on direct_engine over that
+// graph.  --trace-every and --progress cut the run at checkpoints, which
+// keeps the trajectory on the direct engine and the count engine but not
+// on the block path or the sharded engine.
 //
 // Bundle subcommands (docs/bundles.md):
 //
@@ -36,12 +37,11 @@
 //
 // --json writes a machine-readable run summary (verdict, parallel time,
 // engine counters); --trace-out writes the structured event stream
-// (obs/trace.hpp) as JSONL.  Tracing and profiling attach to the engine,
-// so they need the complete graph.  --engine=sharded runs the sharded
-// engine's sequential hooked mode (the run core needs per-interaction
-// hooks); its threaded run_parallel twin is exercised by
-// bench_engine_scaling and the TSan test suite and is bit-identical by
-// construction (pp/sharded_scheduler.hpp).
+// (obs/trace.hpp) as JSONL; both, and --profile, work on every engine and
+// graph.  --engine=sharded runs the sharded engine's sequential hooked
+// mode (the run core needs per-interaction hooks); its threaded
+// run_parallel twin is exercised by bench_engine_scaling and the TSan test
+// suite and is bit-identical by construction (pp/sharded_scheduler.hpp).
 //
 // Exit code 0 iff the run reached a correct configuration; 2 on bad usage.
 #include <algorithm>
@@ -75,8 +75,6 @@
 #include "pp/convergence.hpp"
 #include "pp/engine.hpp"
 #include "pp/graph.hpp"
-#include "pp/graph_simulation.hpp"
-#include "pp/sharded_scheduler.hpp"
 #include "protocols/describe.hpp"
 #include "protocols/serialize.hpp"
 #include "serve/request_context.hpp"
@@ -130,6 +128,10 @@ constexpr std::string_view cli_flags[] = {
 constexpr std::string_view graph_names[] = {"complete", "ring", "star",
                                             "path", "gnp"};
 
+/// Largest --n for --graph=gnp.  G(n, p) is an explicit edge list drawn
+/// over all n(n-1)/2 pairs, so its time and memory grow as n^2.
+constexpr std::uint32_t max_gnp_n = 4096;
+
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
   std::cerr <<
@@ -145,7 +147,9 @@ constexpr std::string_view graph_names[] = {"complete", "ring", "star",
       "  --scenario=<name>      adversarial start (default uniform_random;\n"
       "                         see --list-scenarios)\n"
       "  --graph=complete|ring|star|path|gnp   (not sublinear; other graphs\n"
-      "                         run the same run core on graph_simulation)\n"
+      "                         run the same run core on the direct engine\n"
+      "                         over that graph; gnp needs --n <= "
+      << max_gnp_n << ")\n"
       "  --graph-p=<float>      edge probability for gnp (default 0.9)\n"
       "  --engine=direct|batched|sharded  simulation engine (default\n"
       "                         direct; batched and sharded assume the\n"
@@ -166,7 +170,6 @@ constexpr std::string_view graph_names[] = {"complete", "ring", "star",
       "  --load=<file>          start from a saved configuration\n"
       "  --json=<file>          write a machine-readable run summary\n"
       "  --trace-out=<file>     write the structured event stream as JSONL\n"
-      "                         (requires --graph=complete)\n"
       "  --trace-sample-every=<k>  keep every k-th phase_transition event\n"
       "                         (default 1 = all; structural events are\n"
       "                         never sampled out)\n"
@@ -181,7 +184,6 @@ constexpr std::string_view graph_names[] = {"complete", "ring", "star",
       "  --profile              hierarchical section profiling: hardware\n"
       "                         counters when available, wall time always;\n"
       "                         the section table lands in the --json summary\n"
-      "                         (requires --graph=complete)\n"
       "  --profile-out=<file>   also write the profile as a folded-stack\n"
       "                         file (flamegraph.pl / speedscope); implies\n"
       "                         --profile\n"
@@ -436,16 +438,14 @@ options parse(int argc, char** argv) {
     usage(util::unknown_name_message("graph", opt.graph, graph_names));
   if (opt.graph == "ring" && opt.spec.n < 3)
     usage("--graph=ring needs --n >= 3");
+  if (opt.graph == "gnp" && opt.spec.n > max_gnp_n)
+    usage("--graph=gnp needs --n <= " + std::to_string(max_gnp_n) +
+          " (its edge list grows as n^2), got --n=" +
+          std::to_string(opt.spec.n));
   if (opt.graph != "complete") {
     if (opt.spec.engine.kind != engine_kind::direct)
       usage("--engine=" + std::string(to_string(opt.spec.engine.kind)) +
             " requires --graph=complete");
-    if (!opt.trace_path.empty())
-      usage("--trace-out requires --graph=complete (tracing attaches to the "
-            "engine hook API)");
-    if (opt.profile)
-      usage("--profile requires --graph=complete (profiling attaches to the "
-            "engine)");
     if (opt.spec.protocol == "sublinear")
       usage("sublinear runs on the complete graph only");
   }
@@ -628,11 +628,11 @@ void print_configuration(const options& opt, const P& protocol, double time,
 }
 
 /// Writes the --json run summary: the verdict plus everything a script
-/// needs to re-run or classify the run.  Engine counters and trace stats
-/// appear when the run went through an engine / had a trace attached.
+/// needs to re-run or classify the run.  Trace stats appear when a trace
+/// was attached.
 void write_summary(const options& opt, bool stabilized, double time,
                    std::uint64_t interactions,
-                   const obs::engine_counters* counters,
+                   const obs::engine_counters& counters,
                    const obs::trace_sink* sink,
                    const std::optional<obs::json_value>& profile) {
   if (opt.json_path.empty()) return;
@@ -648,7 +648,7 @@ void write_summary(const options& opt, bool stabilized, double time,
   doc["stabilized"] = stabilized;
   doc["parallel_time"] = time;
   doc["interactions"] = interactions;
-  if (counters != nullptr) doc["engine_counters"] = obs::to_json(*counters);
+  doc["engine_counters"] = obs::to_json(counters);
   if (sink != nullptr) {
     obs::json_value trace = obs::json_value::object();
     trace["events"] = static_cast<std::uint64_t>(sink->events().size());
@@ -672,13 +672,9 @@ int drive(const options& opt, E& engine, double confirm_parallel_time) {
   using P = typename E::protocol_type;
   const P& protocol = engine.protocol();
   obs::engine_counters counters;
-  const obs::engine_counters* counted = nullptr;
   run_profile prof(opt);
-  if constexpr (requires { engine.attach_counters(&counters); }) {
-    engine.attach_counters(&counters);
-    engine.attach_profiler(prof.profiler());
-    counted = &counters;
-  }
+  engine.attach_counters(&counters);
+  engine.attach_profiler(prof.profiler());
   obs::trace_sink sink(opt.trace_options());
   run_progress progress(opt);
   checkpointed<E> run(engine, checkpoint_interactions(opt), [&] {
@@ -708,7 +704,7 @@ int drive(const options& opt, E& engine, double confirm_parallel_time) {
   write_summary(opt, result.converged,
                 result.converged ? result.convergence_time
                                  : engine.parallel_time(),
-                result.interactions, counted, measure.trace, profile_json);
+                result.interactions, counters, measure.trace, profile_json);
   if (!result.converged) {
     std::cout << "did NOT stabilize within t=" << opt.spec.max_time << '\n';
     return 1;
@@ -726,7 +722,7 @@ int drive(const options& opt, E& engine, double confirm_parallel_time) {
 /// The flag mode: trial 0 of the one-trial scenario `opt.spec`, from the
 /// trial recipe `ssr_cli run` uses.  --load, --dump and --show-agents act
 /// on the recipe's start configuration; the run goes through drive() on
-/// the engine --engine names, or on graph_simulation for --graph.
+/// the engine --engine names, or on direct_engine over the --graph.
 template <class P>
 int run_flag_mode(const options& opt, serve::trial_recipe<P> recipe) {
   if (!opt.load_path.empty()) {
@@ -748,28 +744,14 @@ int run_flag_mode(const options& opt, serve::trial_recipe<P> recipe) {
   print_configuration<P>(opt, recipe.protocol, 0.0, recipe.initial);
   const double confirm = recipe.confirm_parallel_time;
   if (opt.graph != "complete") {
-    graph_simulation<P> sim(std::move(recipe.protocol), make_graph(opt),
-                            std::move(recipe.initial), recipe.engine_seed);
-    return drive(opt, sim, confirm);
+    direct_engine<P, interaction_graph> engine(
+        std::move(recipe.protocol), make_graph(opt), std::move(recipe.initial),
+        recipe.engine_seed);
+    return drive(opt, engine, confirm);
   }
-  switch (opt.spec.engine.kind) {
-    case engine_kind::batched: {
-      batched_engine<P> engine(std::move(recipe.protocol),
-                               std::move(recipe.initial), recipe.engine_seed);
-      return drive(opt, engine, confirm);
-    }
-    case engine_kind::sharded: {
-      sharded_engine<P> engine(std::move(recipe.protocol),
-                               std::move(recipe.initial), recipe.engine_seed,
-                               {.shards = opt.spec.engine.shards});
-      return drive(opt, engine, confirm);
-    }
-    case engine_kind::direct:
-      break;
-  }
-  direct_engine<P> engine(std::move(recipe.protocol), std::move(recipe.initial),
-                          recipe.engine_seed);
-  return drive(opt, engine, confirm);
+  return with_engine(opt.spec.engine, std::move(recipe.protocol),
+                     std::move(recipe.initial), recipe.engine_seed,
+                     [&](auto& engine) { return drive(opt, engine, confirm); });
 }
 
 // Maps the CLI protocol name to the lint-registry entries covering it; the

@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "pp/convergence.hpp"
-#include "pp/simulation.hpp"
+#include "pp/engine.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/sublinear.hpp"
 
@@ -21,34 +21,33 @@ int main(int argc, char** argv) {
             << " retention=" << p.params().prune_retention << "\n";
   rng_t rng(1);
   auto init = adversarial_configuration(p, sublinear_scenario::all_same_name, rng);
-  simulation<sublinear_time_ssr> sim(p, std::move(init), 7);
+  direct_engine<sublinear_time_ssr> sim(p, std::move(init), 7);
+  const auto no_pre = [](const agent_pair&) {};
 
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t steps = 0;
   std::size_t max_nodes = 0, cur_nodes = 0;
-  while (true) {
-    sim.step(); ++steps;
-    if (steps % 64 == 0) {
-      cur_nodes = 0;
-      for (const auto& s : sim.agents())
-        if (s.role == sublinear_time_ssr::role_t::collecting)
-          cur_nodes += s.tree.node_count();
-      max_nodes = std::max(max_nodes, cur_nodes);
-      if (is_valid_ranking(p, sim.agents())) break;
-      if (steps > 10'000'000ull) { std::cout << "NO CONVERGENCE\n"; break; }
-    }
-  }
+  const auto count_nodes = [&] {
+    cur_nodes = 0;
+    for (const auto& s : sim.agents())
+      if (s.role == sublinear_time_ssr::role_t::collecting)
+        cur_nodes += s.tree.node_count();
+    max_nodes = std::max(max_nodes, cur_nodes);
+  };
+  sim.run(UINT64_MAX, no_pre, [&](const agent_pair&, bool) {
+    if (++steps % 64 != 0) return false;
+    count_nodes();
+    if (is_valid_ranking(p, sim.agents())) return true;
+    if (steps > 10'000'000ull) { std::cout << "NO CONVERGENCE\n"; return true; }
+    return false;
+  });
   const double conv_time = sim.parallel_time();
-  for (int i = 0; i < confirm_steps; ++i) {
-    sim.step();
-    if (i % 256 == 0) {
-      cur_nodes = 0;
-      for (const auto& s : sim.agents())
-        if (s.role == sublinear_time_ssr::role_t::collecting)
-          cur_nodes += s.tree.node_count();
-      max_nodes = std::max(max_nodes, cur_nodes);
-    }
-  }
+  std::uint64_t confirmed = 0;
+  sim.run(sim.interactions() + std::max(confirm_steps, 0), no_pre,
+          [&](const agent_pair&, bool) {
+            if (confirmed++ % 256 == 0) count_nodes();
+            return false;
+          });
   const auto t1 = std::chrono::steady_clock::now();
   const double wall = std::chrono::duration<double>(t1 - t0).count();
   std::cout << "converged at parallel time " << conv_time
