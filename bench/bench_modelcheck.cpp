@@ -114,7 +114,8 @@ gate_result run_gate(const P& protocol, const lint::model_run& model,
   gate_result gate;
   gate.stats = summarize(samples);
 
-  obs::report_row& exact_row = rep.add_value(
+  // Copies: each add_* call may reallocate the report's row vector.
+  const obs::report_row exact_row = rep.add_value(
       "exact", "exact_expected_interactions", model.protocol, model.n, "",
       exact, "interactions", /*higher_is_better=*/false);
   rep.add_samples("empirical", model.protocol, model.n, "", trials, seed,
@@ -122,7 +123,7 @@ gate_result run_gate(const P& protocol, const lint::model_run& model,
   // Sections differ so the exact / empirical-mean / sample rows keep
   // distinct join keys (report_diff matches on section, protocol, n,
   // params) and a future run compares each against its own kind.
-  obs::report_row& mean_row = rep.add_value(
+  const obs::report_row mean_row = rep.add_value(
       "empirical-mean", "empirical_expected_interactions", model.protocol,
       model.n, "", gate.stats.mean, "interactions",
       /*higher_is_better=*/false);

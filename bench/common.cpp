@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <cstdint>
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
@@ -46,7 +47,13 @@ std::uint64_t parse_u64_value(std::string_view flag, std::string_view text) {
                 << text << "'\n";
       std::exit(2);
     }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) {
+      std::cerr << "error: " << flag << " exceeds 2^64-1, got '" << text
+                << "'\n";
+      std::exit(2);
+    }
+    value = value * 10 + digit;
   }
   return value;
 }

@@ -6,7 +6,9 @@
 // (typical near silence), stepping agent-by-agent wastes almost all work;
 // instead we sample the embedded jump chain exactly:
 //
-//   * precompute the deterministic transition table delta[a][b];
+//   * resolve the deterministic transition table delta(a, b) once
+//     (build_transition_table, pp/transition_table.hpp, which enforces
+//     closure);
 //   * maintain counts c_s and the total weight A of *active* ordered state
 //     pairs (those with a non-null transition), where the pair (a, b) has
 //     weight c_a * c_b for a != b and c_a * (c_a - 1) for a == b;
@@ -36,6 +38,7 @@
 #include "pp/protocol.hpp"
 #include "pp/random.hpp"
 #include "pp/rng.hpp"
+#include "pp/transition_table.hpp"
 
 namespace ssr {
 
@@ -55,29 +58,13 @@ class accelerated_simulation {
         states_(all_states),
         k_(all_states.size()),
         n_(protocol_.population_size()),
-        rng_(seed) {
+        rng_(seed),
+        delta_(build_transition_table(protocol_, states_)) {
     SSR_REQUIRE(initial.size() == n_);
     SSR_REQUIRE(k_ >= 1);
 
-    // Transition table (deterministic: the rng is never consulted).
-    rng_t dummy(0);
-    delta_.assign(k_ * k_, {0, 0});
-    nonnull_.assign(k_ * k_, false);
-    P probe = protocol_;
-    for (std::size_t a = 0; a < k_; ++a) {
-      for (std::size_t b = 0; b < k_; ++b) {
-        agent_state x = states_[a];
-        agent_state y = states_[b];
-        probe.interact(x, y, dummy);
-        const std::size_t a2 = index_of(x);
-        const std::size_t b2 = index_of(y);
-        delta_[a * k_ + b] = {a2, b2};
-        nonnull_[a * k_ + b] = a2 != a || b2 != b;
-      }
-    }
-
     count_.assign(k_, 0);
-    for (const auto& s : initial) ++count_[index_of(s)];
+    for (const auto& s : initial) ++count_[inventory_index(states_, s)];
     rebuild_active_weight();
 
     // Rank histogram for O(1) correctness tracking.
@@ -120,7 +107,7 @@ class accelerated_simulation {
     for (std::size_t a = 0; a < k_; ++a) {
       if (count_[a] == 0) continue;
       for (std::size_t b = 0; b < k_; ++b) {
-        if (!nonnull_[a * k_ + b]) continue;
+        if (delta_.is_null(a, b)) continue;
         const std::uint64_t w =
             a == b ? count_[a] * (count_[a] - 1) : count_[a] * count_[b];
         if (u >= w) {
@@ -166,14 +153,6 @@ class accelerated_simulation {
     return correct();
   }
 
-  std::size_t index_of(const agent_state& s) const {
-    for (std::size_t i = 0; i < k_; ++i) {
-      if (states_[i] == s) return i;
-    }
-    throw std::logic_error(
-        "accelerated_simulation: transition left the state inventory");
-  }
-
   std::uint32_t clamp_rank(std::uint32_t r) const { return r <= n_ ? r : 0; }
 
   void rebuild_active_weight() {
@@ -181,7 +160,7 @@ class accelerated_simulation {
     for (std::size_t a = 0; a < k_; ++a) {
       if (count_[a] == 0) continue;
       for (std::size_t b = 0; b < k_; ++b) {
-        if (!nonnull_[a * k_ + b] || count_[b] == 0) continue;
+        if (delta_.is_null(a, b) || count_[b] == 0) continue;
         active_weight_ +=
             a == b ? count_[a] * (count_[a] - 1) : count_[a] * count_[b];
       }
@@ -199,7 +178,7 @@ class accelerated_simulation {
   }
 
   void apply(std::size_t a, std::size_t b) {
-    const auto [a2, b2] = delta_[a * k_ + b];
+    const auto [a2, b2] = delta_(a, b);
     // Count updates; active weight is rebuilt lazily but exactly.  Only
     // four states change, so an incremental update would be O(k); the
     // rebuild is O(k^2), acceptable for the small-k regime this simulator
@@ -221,8 +200,7 @@ class accelerated_simulation {
   std::uint32_t n_;
   rng_t rng_;
 
-  std::vector<std::pair<std::size_t, std::size_t>> delta_;
-  std::vector<bool> nonnull_;
+  transition_table delta_;
   std::vector<std::uint64_t> count_;
   std::uint64_t active_weight_ = 0;
   std::uint64_t interactions_ = 0;

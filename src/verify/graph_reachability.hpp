@@ -3,25 +3,28 @@
 //
 // On a graph, agents are no longer interchangeable (their neighborhoods
 // differ), so a configuration is a position-aware state vector -- k^n of
-// them rather than multiset-many.  Transitions apply the protocol to every
-// oriented edge.  The terminal-SCC criterion is the same as in
-// reachability.hpp.  This decides, for tiny n, whether a protocol stays
-// self-stabilizing off the complete graph -- e.g. Silent-n-state-SSR on a
-// 4-ring has silent *incorrect* terminal configurations (two equal-rank
-// agents that are not adjacent can never meet), which
-// tests/topology_test.cpp exhibits.
+// them rather than multiset-many -- and this verifier enumerates that space
+// itself instead of build_config_graph's multisets.  Transitions apply the
+// shared transition table (pp/transition_table.hpp) to every oriented edge,
+// and the verdict is reachability.hpp's terminal-class verdict
+// (classify_terminal_classes in verify/scc.hpp).  This decides, for tiny n,
+// whether a protocol stays self-stabilizing off the complete graph -- e.g.
+// Silent-n-state-SSR on a 4-ring has silent *incorrect* terminal
+// configurations (two equal-rank agents that are not adjacent can never
+// meet), which tests/topology_test.cpp exhibits.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "pp/assert.hpp"
 #include "pp/graph.hpp"
 #include "pp/protocol.hpp"
-#include "pp/rng.hpp"
+#include "pp/transition_table.hpp"
 #include "verify/scc.hpp"
 
 namespace ssr {
@@ -37,36 +40,17 @@ struct graph_verification_result {
 
 /// Exhaustively verifies `protocol` under the edge scheduler of `graph`.
 /// Deterministic transitions and a complete state inventory are required,
-/// exactly as in verify_self_stabilization.
+/// exactly as in verify_self_stabilization; a transition that leaves
+/// `all_states` throws std::logic_error.
 template <ranking_protocol P>
 graph_verification_result verify_on_graph(
     const P& protocol, const interaction_graph& graph,
     const std::vector<typename P::agent_state>& all_states,
     std::size_t max_configurations = 2'000'000) {
-  using state_t = typename P::agent_state;
   const std::uint32_t n = protocol.population_size();
   SSR_REQUIRE(graph.size() == n);
   const std::size_t k = all_states.size();
-
-  auto find_state = [&](const state_t& s) -> std::size_t {
-    for (std::size_t i = 0; i < k; ++i) {
-      if (all_states[i] == s) return i;
-    }
-    throw std::logic_error("verify_on_graph: transition left the inventory");
-  };
-
-  rng_t dummy_rng(0);
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> delta(
-      k, std::vector<std::pair<std::size_t, std::size_t>>(k));
-  P probe = protocol;
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = 0; b < k; ++b) {
-      state_t x = all_states[a];
-      state_t y = all_states[b];
-      probe.interact(x, y, dummy_rng);
-      delta[a][b] = {find_state(x), find_state(y)};
-    }
-  }
+  const transition_table delta = build_transition_table(protocol, all_states);
 
   // Enumerate all k^n position-aware configurations.
   std::size_t total = 1;
@@ -91,52 +75,39 @@ graph_verification_result verify_on_graph(
   };
 
   std::vector<std::vector<std::size_t>> adjacency(total);
-  std::vector<bool> has_nonnull(total, false);
   std::vector<bool> correct(total, false);
-  {
-    std::vector<state_t> expanded(n);
-    for (std::size_t code = 0; code < total; ++code) {
-      const auto config = decode(code);
-      for (const auto& [u, v] : graph.edges()) {
-        for (const auto& [i, j] :
-             {std::pair<std::uint32_t, std::uint32_t>{u, v},
-              std::pair<std::uint32_t, std::uint32_t>{v, u}}) {
-          const auto [a2, b2] = delta[config[i]][config[j]];
-          if (a2 == config[i] && b2 == config[j]) continue;
-          has_nonnull[code] = true;
-          auto next = config;
-          next[i] = a2;
-          next[j] = b2;
-          adjacency[code].push_back(encode(next));
-        }
+  std::vector<typename P::agent_state> expanded(n);
+  for (std::size_t code = 0; code < total; ++code) {
+    const auto config = decode(code);
+    for (const auto& [u, v] : graph.edges()) {
+      for (const auto& [i, j] :
+           {std::pair<std::uint32_t, std::uint32_t>{u, v},
+            std::pair<std::uint32_t, std::uint32_t>{v, u}}) {
+        if (delta.is_null(config[i], config[j])) continue;
+        auto next = config;
+        std::tie(next[i], next[j]) = delta(config[i], config[j]);
+        adjacency[code].push_back(encode(next));
       }
-      std::sort(adjacency[code].begin(), adjacency[code].end());
-      adjacency[code].erase(
-          std::unique(adjacency[code].begin(), adjacency[code].end()),
-          adjacency[code].end());
-      for (std::uint32_t i = 0; i < n; ++i)
-        expanded[i] = all_states[config[i]];
-      correct[code] = is_valid_ranking(protocol, expanded);
     }
+    std::sort(adjacency[code].begin(), adjacency[code].end());
+    adjacency[code].erase(
+        std::unique(adjacency[code].begin(), adjacency[code].end()),
+        adjacency[code].end());
+    for (std::uint32_t i = 0; i < n; ++i) expanded[i] = all_states[config[i]];
+    correct[code] = is_valid_ranking(protocol, expanded);
   }
 
-  // SCCs and terminal components (verify/scc.hpp).
-  const scc_result scc = strongly_connected_components(adjacency);
-  const std::vector<bool> terminal = terminal_components(adjacency, scc);
-  const std::vector<std::size_t> component_size = component_sizes(scc);
-
+  const terminal_verdict verdict =
+      classify_terminal_classes(adjacency, correct);
   graph_verification_result result;
   result.configurations = total;
-  result.self_stabilizing = true;
-  result.silent = true;
-  for (std::size_t c = 0; c < total; ++c) {
-    const std::size_t comp = scc.component[c];
-    if (!terminal[comp]) continue;
-    if (!correct[c]) {
-      result.self_stabilizing = false;
-      if (!result.counterexample) result.counterexample = decode(c);
-    }
-    if (component_size[comp] != 1 || has_nonnull[c]) result.silent = false;
+  result.self_stabilizing = verdict.self_stabilizing;
+  result.silent = verdict.silent;
+  const auto witness = std::find(verdict.incorrect_terminal.begin(),
+                                 verdict.incorrect_terminal.end(), true);
+  if (witness != verdict.incorrect_terminal.end()) {
+    result.counterexample = decode(static_cast<std::size_t>(
+        witness - verdict.incorrect_terminal.begin()));
   }
   return result;
 }

@@ -1,26 +1,25 @@
 // Builds the multiset configuration graph of a concrete protocol.
 //
-// This is the typed half of the model checker (model_check.hpp): it
-// resolves the protocol's transition function over the declared state
-// inventory into a delta table -- enforcing closure exactly like
-// verify_self_stabilization -- enumerates every size-n multiset over the k
-// inventory states, and materializes the weighted configuration digraph
-// the untyped analysis consumes.  Requirements match reachability.hpp:
-// deterministic transitions (the rng is never consulted) and an exhaustive
-// state inventory.
+// This is the typed half of the model checker (model_check.hpp) and the one
+// enumeration of the multiset space: verify_self_stabilization
+// (verify/reachability.hpp) builds its digraph here too.  It resolves the
+// protocol's transition function over the declared state inventory with
+// build_transition_table (pp/transition_table.hpp, which enforces closure),
+// enumerates every size-n multiset over the k inventory states, and
+// materializes the weighted configuration digraph the untyped analysis
+// consumes.  Requirements: deterministic transitions (the rng is never
+// consulted) and an exhaustive state inventory.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "pp/assert.hpp"
 #include "pp/protocol.hpp"
-#include "pp/rng.hpp"
+#include "pp/transition_table.hpp"
 #include "verify/model_check/model_check.hpp"
 
 namespace ssr::verify {
@@ -37,8 +36,9 @@ using state_label_fn = std::function<std::string(std::size_t)>;
 
 /// Builds the configuration graph of `protocol` over `all_states`, with
 /// `correct` evaluated on expanded state vectors (sorted by inventory
-/// index).  Throws std::logic_error when a transition escapes the declared
-/// inventory (closure violation).
+/// index).  Configurations are indexed in ascending lexicographic order of
+/// their count vectors.  Throws std::logic_error when a transition escapes
+/// the declared inventory (closure violation).
 template <class P>
 config_graph build_config_graph(
     const P& protocol, const std::vector<typename P::agent_state>& all_states,
@@ -61,27 +61,7 @@ config_graph build_config_graph(
                                        : "state #" + std::to_string(i));
   }
 
-  // --- delta table, with closure enforced ---------------------------------
-  auto find_state = [&](const state_t& s) -> std::size_t {
-    for (std::size_t i = 0; i < k; ++i) {
-      if (all_states[i] == s) return i;
-    }
-    throw std::logic_error(
-        "build_config_graph: transition left the provided state inventory");
-  };
-  rng_t dummy_rng(0);  // protocols under verification never consult it
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> delta(
-      k, std::vector<std::pair<std::uint32_t, std::uint32_t>>(k));
-  P probe = protocol;
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = 0; b < k; ++b) {
-      state_t x = all_states[a];
-      state_t y = all_states[b];
-      probe.interact(x, y, dummy_rng);
-      delta[a][b] = {static_cast<std::uint32_t>(find_state(x)),
-                     static_cast<std::uint32_t>(find_state(y))};
-    }
-  }
+  const transition_table delta = build_transition_table(protocol, all_states);
 
   // --- enumerate all count vectors summing to n ---------------------------
   std::vector<std::uint32_t> current(k, 0);
@@ -101,43 +81,47 @@ config_graph build_config_graph(
       };
   enumerate(0, n);
 
-  std::map<std::vector<std::uint32_t>, std::size_t> config_index;
-  for (std::size_t i = 0; i < graph.configs.size(); ++i) {
-    config_index.emplace(graph.configs[i], i);
-  }
-
   // --- weighted edges: every ordered state pair present in the config ----
+  // The enumeration above is in ascending lexicographic order, so a binary
+  // search over graph.configs finds a successor's index.
   const std::size_t num = graph.configs.size();
   graph.edges.resize(num);
   graph.null_weight.assign(num, 0);
   graph.correct.assign(num, false);
+  std::vector<std::uint32_t> present;  // states with a positive count
+  std::vector<std::uint32_t> next(k);
   std::vector<state_t> expanded(n);
   for (std::size_t ci = 0; ci < num; ++ci) {
     const std::vector<std::uint32_t>& counts = graph.configs[ci];
-    for (std::uint32_t a = 0; a < k; ++a) {
-      if (counts[a] == 0) continue;
-      for (std::uint32_t b = 0; b < k; ++b) {
+    present.clear();
+    for (std::uint32_t s = 0; s < k; ++s) {
+      if (counts[s] > 0) present.push_back(s);
+    }
+    for (const std::uint32_t a : present) {
+      for (const std::uint32_t b : present) {
         const std::uint32_t responders = counts[b] - (a == b ? 1u : 0u);
         if (responders == 0) continue;
         const std::uint64_t weight =
             static_cast<std::uint64_t>(counts[a]) * responders;
-        const auto [a2, b2] = delta[a][b];
+        const auto [a2, b2] = delta(a, b);
         if (a2 == a && b2 == b) {
           graph.null_weight[ci] += weight;
           continue;
         }
-        std::vector<std::uint32_t> next = counts;
+        next = counts;
         --next[a];
         --next[b];
         ++next[a2];
         ++next[b2];
-        graph.edges[ci].push_back({config_index.at(next), weight, a, b,
-                                   static_cast<std::uint32_t>(a2),
-                                   static_cast<std::uint32_t>(b2)});
+        const auto target = std::lower_bound(graph.configs.begin(),
+                                             graph.configs.end(), next);
+        graph.edges[ci].push_back(
+            {static_cast<std::size_t>(target - graph.configs.begin()), weight,
+             a, b, a2, b2});
       }
     }
     std::size_t slot = 0;
-    for (std::uint32_t s = 0; s < k; ++s) {
+    for (const std::uint32_t s : present) {
       for (std::uint32_t c = 0; c < counts[s]; ++c) {
         expanded[slot++] = all_states[s];
       }

@@ -15,17 +15,6 @@ namespace {
 
 constexpr std::size_t kNone = SIZE_MAX;
 
-std::vector<std::vector<std::size_t>> target_adjacency(
-    const config_graph& graph) {
-  std::vector<std::vector<std::size_t>> adjacency(graph.configs.size());
-  for (std::size_t ci = 0; ci < graph.configs.size(); ++ci) {
-    for (const config_edge& e : graph.edges[ci]) {
-      adjacency[ci].push_back(e.target);
-    }
-  }
-  return adjacency;
-}
-
 /// Shortest non-null cycle through `witness`, restricted to its (terminal)
 /// component: BFS over successors until the walk returns to the witness.
 std::vector<counterexample_step> shortest_cycle(const config_graph& graph,
@@ -248,6 +237,14 @@ double solve_component(const config_graph& graph,
 
 }  // namespace
 
+std::vector<std::vector<std::size_t>> config_graph::adjacency() const {
+  std::vector<std::vector<std::size_t>> targets(configs.size());
+  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+    for (const config_edge& e : edges[ci]) targets[ci].push_back(e.target);
+  }
+  return targets;
+}
+
 std::string config_graph::config_name(std::size_t config) const {
   std::ostringstream os;
   os << '{';
@@ -287,51 +284,35 @@ model_check_result run_model_check(const config_graph& graph,
   result.configurations = num;
   for (const auto& edges : graph.edges) result.transitions += edges.size();
 
-  const std::vector<std::vector<std::size_t>> adjacency =
-      target_adjacency(graph);
-  const scc_result scc = strongly_connected_components(adjacency);
-  const std::vector<bool> terminal = terminal_components(adjacency, scc);
-  const std::vector<std::size_t> sizes = component_sizes(scc);
+  const terminal_verdict verdict =
+      classify_terminal_classes(graph.adjacency(), graph.correct);
+  const scc_result& scc = verdict.scc;
   result.scc_count = scc.count;
-  for (const std::size_t s : sizes) {
+  for (const std::size_t s : component_sizes(scc)) {
     result.largest_scc = std::max(result.largest_scc, s);
   }
-  for (std::size_t comp = 0; comp < scc.count; ++comp) {
-    result.terminal_classes += terminal[comp] ? 1 : 0;
-  }
+  result.terminal_classes = verdict.terminal_classes;
 
-  // --- silence and stabilization verdicts ---------------------------------
-  result.silent = true;
-  result.self_stabilizing = true;
-  std::vector<bool> incorrect_terminal(num, false);
-  std::size_t hot_witness = kNone;
-  std::size_t bad_witness = kNone;
-  for (std::size_t ci = 0; ci < num; ++ci) {
-    const std::size_t comp = scc.component[ci];
-    if (!terminal[comp]) continue;
-    if (sizes[comp] != 1 || !graph.edges[ci].empty()) {
-      result.silent = false;
-      if (hot_witness == kNone && !graph.edges[ci].empty()) hot_witness = ci;
-    }
-    if (!graph.correct[ci]) {
-      result.self_stabilizing = false;
-      incorrect_terminal[ci] = true;
-      if (bad_witness == kNone) bad_witness = ci;
-    }
-  }
-  if (!result.silent && hot_witness != kNone) {
+  // --- silence and stabilization verdicts, first witnesses by index -------
+  result.silent = verdict.silent;
+  result.self_stabilizing = verdict.self_stabilizing;
+  const auto first = [](const std::vector<bool>& flags) {
+    return static_cast<std::size_t>(
+        std::find(flags.begin(), flags.end(), true) - flags.begin());
+  };
+  if (!result.silent) {
     counterexample cx;
     cx.kind = counterexample::kind_t::hot_terminal;
-    cx.witness = hot_witness;
-    cx.steps = shortest_cycle(graph, scc, hot_witness);
+    cx.witness = first(verdict.hot_terminal);
+    cx.steps = shortest_cycle(graph, scc, cx.witness);
     result.silence_counterexample = std::move(cx);
   }
   if (!result.self_stabilizing) {
     counterexample cx;
     cx.kind = counterexample::kind_t::incorrect_terminal;
-    cx.witness = bad_witness;
+    cx.witness = first(verdict.incorrect_terminal);
     std::size_t reached = kNone;
-    cx.steps = shortest_escape(graph, incorrect_terminal, &reached);
+    cx.steps = shortest_escape(graph, verdict.incorrect_terminal, &reached);
     if (reached != kNone) cx.witness = reached;
     result.stabilization_counterexample = std::move(cx);
   }
@@ -349,7 +330,7 @@ model_check_result run_model_check(const config_graph& graph,
     std::vector<std::size_t> witness(scc.count, kNone);
     for (std::size_t ci = num; ci-- > 0;) witness[scc.component[ci]] = ci;
     for (std::size_t comp = 0; comp < scc.count; ++comp) {
-      if (terminal[comp] && !external_in[comp]) {
+      if (verdict.terminal[comp] && !external_in[comp]) {
         result.spurious_terminal_witnesses.push_back(witness[comp]);
       }
     }

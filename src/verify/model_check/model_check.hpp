@@ -12,10 +12,12 @@
 // run_model_check() answers the paper's claims exactly on that graph:
 //
 //   closure      -- enforced during construction (an escaping transition
-//                   throws, mirroring verify_self_stabilization)
+//                   throws; pp/transition_table.hpp)
 //   silence      -- every terminal SCC is a single configuration with no
 //                   enabled non-null transition
 //   stabilization-- every terminal SCC satisfies the correctness predicate
+//                   (both verdicts: classify_terminal_classes in
+//                   verify/scc.hpp, shared with the boolean verifiers)
 //   expected time-- exact expected interactions to absorption into the
 //                   *stably correct* set (configurations that cannot reach
 //                   an incorrect configuration), by a linear solve over the
@@ -74,6 +76,10 @@ struct config_graph {
   std::uint64_t pair_weight() const {
     return static_cast<std::uint64_t>(n) * (n - 1);
   }
+
+  /// Edge targets per configuration, self-loops included: the adjacency
+  /// classify_terminal_classes (verify/scc.hpp) takes.
+  std::vector<std::vector<std::size_t>> adjacency() const;
 
   /// "{rank=0 x2, rank=1}" -- human-readable multiset rendering.
   std::string config_name(std::size_t config) const;

@@ -12,29 +12,27 @@
 //          configuration digraph consists of correct configurations,
 //
 // and it is additionally *silent* iff every terminal component is a single
-// configuration with no non-null transition.  This module enumerates the
-// full configuration space (all multisets of size n over the protocol's
-// state inventory), builds the digraph, runs Tarjan's SCC algorithm, and
-// checks the terminal components.  tests/verify_test.cpp uses it to
-// machine-check Theorem 4.1's stabilization claim (and Protocol 1's) at
-// small n, and to reject protocols that are *not* self-stabilizing (the
-// initialized (l,l)->(l,f) protocol; mutated baselines).
+// configuration with no non-null transition.  verify_self_stabilization is
+// the boolean face of that analysis: the multiset digraph comes from
+// build_ranking_config_graph (verify/model_check/config_space.hpp, the one
+// enumeration of the space) and the verdict from classify_terminal_classes
+// (verify/scc.hpp, shared with the model checker and the graph verifier).
+// tests/verify_test.cpp uses it to machine-check Theorem 4.1's
+// stabilization claim (and Protocol 1's) at small n, and to reject
+// protocols that are *not* self-stabilizing (the initialized
+// (l,l)->(l,f) protocol; mutated baselines).
 //
 // Requirements on the protocol: deterministic transitions (the rng argument
 // of interact() is not consulted -- true for Protocols 1 and 3/4 and the
 // initialized contrast protocol), plus an exhaustive state inventory.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
-#include "pp/assert.hpp"
 #include "pp/protocol.hpp"
-#include "pp/rng.hpp"
+#include "verify/model_check/config_space.hpp"
 #include "verify/scc.hpp"
 
 namespace ssr {
@@ -56,132 +54,41 @@ struct verification_result {
   bool self_stabilizing = false;
   /// Every terminal component is a single silent configuration.
   bool silent = false;
-  /// A witness configuration inside an incorrect terminal component (state
-  /// multiset, encoded), when self_stabilizing is false.
+  /// A witness configuration inside an incorrect terminal component, when
+  /// self_stabilizing is false: the state multiset as sorted indices into
+  /// the inventory, lexicographically first among all such witnesses.
   std::optional<std::vector<std::size_t>> counterexample;
 };
 
 /// Exhaustively verifies `protocol` for its population size n.
 /// `all_states` must list every reachable agent state (a superset is fine;
 /// unreachable states only enlarge the search).  Transitions must be
-/// deterministic.  `is_correct(config)` is evaluated on state multisets
-/// given as vectors of indices into `all_states`.
+/// deterministic; one that leaves `all_states` throws std::logic_error.
+/// Correctness is is_valid_ranking.
 template <ranking_protocol P>
 verification_result verify_self_stabilization(
     const P& protocol, const std::vector<typename P::agent_state>& all_states,
     const verification_options& options = {}) {
-  using state_t = typename P::agent_state;
-  const std::uint32_t n = protocol.population_size();
-  SSR_REQUIRE(n >= 2);
-  SSR_REQUIRE(!all_states.empty());
-
-  // --- index states; transitions computed on the index pair level --------
-  const std::size_t k = all_states.size();
-  auto find_state = [&](const state_t& s) -> std::size_t {
-    for (std::size_t i = 0; i < k; ++i) {
-      if (all_states[i] == s) return i;
-    }
-    throw std::logic_error(
-        "verify_self_stabilization: transition left the provided state "
-        "inventory");
-  };
-
-  // delta[a][b] = (a', b') for the ordered interaction (a initiator).
-  rng_t dummy_rng(0);  // protocols under verification never consult it
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> delta(
-      k, std::vector<std::pair<std::size_t, std::size_t>>(k));
-  P probe = protocol;
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b = 0; b < k; ++b) {
-      state_t x = all_states[a];
-      state_t y = all_states[b];
-      probe.interact(x, y, dummy_rng);
-      delta[a][b] = {find_state(x), find_state(y)};
-    }
-  }
-
-  // --- enumerate all multisets of size n over k states --------------------
-  // A configuration is a sorted vector of n state indices.
-  std::vector<std::vector<std::size_t>> configs;
-  std::vector<std::size_t> current;
-  const std::function<void(std::size_t, std::size_t)> enumerate =
-      [&](std::size_t from, std::size_t remaining) {
-        if (remaining == 0) {
-          configs.push_back(current);
-          return;
-        }
-        for (std::size_t s = from; s < k; ++s) {
-          current.push_back(s);
-          enumerate(s, remaining - 1);
-          current.pop_back();
-          SSR_REQUIRE(configs.size() <= options.max_configurations);
-        }
-      };
-  enumerate(0, n);
-
-  std::map<std::vector<std::size_t>, std::size_t> config_index;
-  for (std::size_t i = 0; i < configs.size(); ++i)
-    config_index.emplace(configs[i], i);
-
-  // --- adjacency: apply every ordered pair of agent slots ----------------
-  const std::size_t num = configs.size();
-  std::vector<std::vector<std::size_t>> adjacency(num);
-  std::vector<bool> has_nonnull(num, false);
-  for (std::size_t ci = 0; ci < num; ++ci) {
-    const auto& config = configs[ci];
-    for (std::size_t i = 0; i < config.size(); ++i) {
-      for (std::size_t j = 0; j < config.size(); ++j) {
-        if (i == j) continue;
-        const auto [a2, b2] = delta[config[i]][config[j]];
-        if (a2 == config[i] && b2 == config[j]) continue;  // null transition
-        has_nonnull[ci] = true;
-        std::vector<std::size_t> next = config;
-        next[i] = a2;
-        next[j] = b2;
-        std::sort(next.begin(), next.end());
-        const std::size_t ni = config_index.at(next);
-        if (ni != ci) adjacency[ci].push_back(ni);
-      }
-    }
-    std::sort(adjacency[ci].begin(), adjacency[ci].end());
-    adjacency[ci].erase(
-        std::unique(adjacency[ci].begin(), adjacency[ci].end()),
-        adjacency[ci].end());
-  }
-
-  // --- correctness of each configuration ---------------------------------
-  std::vector<bool> correct(num, false);
-  {
-    std::vector<state_t> expanded(n);
-    for (std::size_t ci = 0; ci < num; ++ci) {
-      for (std::size_t i = 0; i < n; ++i)
-        expanded[i] = all_states[configs[ci][i]];
-      correct[ci] = is_valid_ranking(protocol, expanded);
-    }
-  }
-
-  // --- SCCs, terminal components, and the verdict (verify/scc.hpp) -------
-  const scc_result scc = strongly_connected_components(adjacency);
-  const std::vector<bool> terminal = terminal_components(adjacency, scc);
-  const std::vector<std::size_t> component_size = component_sizes(scc);
+  const verify::config_graph graph = verify::build_ranking_config_graph(
+      protocol, all_states, {}, {options.max_configurations});
+  const terminal_verdict verdict =
+      classify_terminal_classes(graph.adjacency(), graph.correct);
 
   verification_result result;
-  result.configurations = num;
-  result.self_stabilizing = true;
-  result.silent = true;
-  for (std::size_t ci = 0; ci < num; ++ci) {
-    const std::size_t comp = scc.component[ci];
-    if (!terminal[comp]) continue;
-    if (!correct[ci]) {
-      result.self_stabilizing = false;
-      if (!result.counterexample) result.counterexample = configs[ci];
+  result.configurations = graph.configs.size();
+  result.terminal_components = verdict.terminal_classes;
+  result.self_stabilizing = verdict.self_stabilizing;
+  result.silent = verdict.silent;
+  for (std::size_t ci = 0; ci < graph.configs.size(); ++ci) {
+    if (!verdict.incorrect_terminal[ci]) continue;
+    std::vector<std::size_t> sorted;
+    for (std::size_t s = 0; s < graph.state_count; ++s) {
+      sorted.insert(sorted.end(), graph.configs[ci][s], s);
     }
-    // Silence: a terminal component must be one configuration where every
-    // pair's transition is null.
-    if (component_size[comp] != 1 || has_nonnull[ci]) result.silent = false;
+    if (!result.counterexample || sorted < *result.counterexample) {
+      result.counterexample = std::move(sorted);
+    }
   }
-  for (std::size_t comp = 0; comp < scc.count; ++comp)
-    result.terminal_components += terminal[comp] ? 1 : 0;
   return result;
 }
 

@@ -1,12 +1,14 @@
-// Strongly connected components over explicit adjacency lists.
+// Strongly connected components over explicit adjacency lists, and the
+// terminal-class verdict built on them.
 //
 // Both exhaustive verifiers (reachability.hpp over state multisets,
 // graph_reachability.hpp over position-aware tuples) and the configuration
 // model checker (model_check/) reduce their verdicts to the same graph
 // question: which SCCs of a digraph are *terminal* (no edge leaves the
-// component)?  This header is that shared kernel: an iterative Tarjan --
-// explicit frame stack, so million-vertex configuration graphs cannot
-// overflow the call stack -- plus the terminal-component classification.
+// component), and are they correct and silent?  This header is that shared
+// kernel: an iterative Tarjan -- explicit frame stack, so million-vertex
+// configuration graphs cannot overflow the call stack -- the
+// terminal-component classification, and the one terminal-class verdict.
 //
 // Component ids are assigned in Tarjan completion order, which is reverse
 // topological order of the condensation: for every edge u -> v crossing
@@ -108,6 +110,58 @@ inline std::vector<std::size_t> component_sizes(const scc_result& scc) {
   std::vector<std::size_t> sizes(scc.count, 0);
   for (const std::size_t c : scc.component) ++sizes[c];
   return sizes;
+}
+
+/// The terminal-class verdict of a configuration digraph.  Under a
+/// scheduler that gives every edge positive probability, the protocol
+///
+///   stabilizes with probability 1 from every configuration
+///     <=>  every terminal class consists of correct configurations;
+///   is silent  <=>  every terminal class is one configuration with no
+///                   enabled non-null transition.
+struct terminal_verdict {
+  scc_result scc;
+  /// terminal[c]: no edge leaves component c (terminal_components).
+  std::vector<bool> terminal;
+  std::size_t terminal_classes = 0;
+  bool self_stabilizing = true;
+  bool silent = true;
+  /// Per configuration: inside a terminal class and incorrect -- the
+  /// witnesses against self_stabilizing.
+  std::vector<bool> incorrect_terminal;
+  /// Per configuration: inside a terminal class and still enabled -- the
+  /// witnesses against silent.
+  std::vector<bool> hot_terminal;
+};
+
+/// `adjacency[v]` must list the target of every non-null transition out of
+/// configuration v, including one that leads back to v (a state swap is a
+/// non-null self-loop in multiset space): a configuration is enabled iff its
+/// list is non-empty.  A terminal class of two or more configurations has
+/// an edge out of each of them, so "one configuration, nothing enabled"
+/// reduces to "nothing enabled" per configuration.
+inline terminal_verdict classify_terminal_classes(
+    const std::vector<std::vector<std::size_t>>& adjacency,
+    const std::vector<bool>& correct) {
+  const std::size_t num = adjacency.size();
+  terminal_verdict verdict;
+  verdict.scc = strongly_connected_components(adjacency);
+  verdict.terminal = terminal_components(adjacency, verdict.scc);
+  for (const bool t : verdict.terminal) verdict.terminal_classes += t ? 1 : 0;
+  verdict.incorrect_terminal.assign(num, false);
+  verdict.hot_terminal.assign(num, false);
+  for (std::size_t v = 0; v < num; ++v) {
+    if (!verdict.terminal[verdict.scc.component[v]]) continue;
+    if (!correct[v]) {
+      verdict.incorrect_terminal[v] = true;
+      verdict.self_stabilizing = false;
+    }
+    if (!adjacency[v].empty()) {
+      verdict.hot_terminal[v] = true;
+      verdict.silent = false;
+    }
+  }
+  return verdict;
 }
 
 }  // namespace ssr

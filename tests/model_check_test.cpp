@@ -15,7 +15,10 @@
 
 #include "analysis/protocol_lint/lint.hpp"
 #include "analysis/protocol_lint/model_check.hpp"
+#include "protocols/initialized.hpp"
+#include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
+#include "verification_inputs.hpp"
 #include "verify/model_check/config_space.hpp"
 #include "verify/model_check/model_check.hpp"
 #include "verify/reachability.hpp"
@@ -91,6 +94,19 @@ TEST(ModelCheck, ExpectedTimesSatisfyTheFixedPoint) {
   }
 }
 
+template <ranking_protocol P>
+void expect_model_check_agrees(
+    const P& p, const std::vector<typename P::agent_state>& states) {
+  const std::uint32_t n = p.population_size();
+  const verification_result boolean = verify_self_stabilization(p, states);
+  const verify::model_check_result exact =
+      verify::run_model_check(verify::build_ranking_config_graph(p, states));
+  EXPECT_EQ(exact.configurations, boolean.configurations) << "n=" << n;
+  EXPECT_EQ(exact.terminal_classes, boolean.terminal_components) << "n=" << n;
+  EXPECT_EQ(exact.silent, boolean.silent) << "n=" << n;
+  EXPECT_EQ(exact.self_stabilizing, boolean.self_stabilizing) << "n=" << n;
+}
+
 // The model checker and the boolean reachability verifier answer the same
 // question; their verdicts and configuration counts must agree.
 TEST(ModelCheck, AgreesWithReachabilityVerifier) {
@@ -103,6 +119,19 @@ TEST(ModelCheck, AgreesWithReachabilityVerifier) {
   EXPECT_EQ(exact.terminal_classes, boolean.terminal_components);
   EXPECT_EQ(exact.silent, boolean.silent);
   EXPECT_EQ(exact.self_stabilizing, boolean.self_stabilizing);
+
+  for (const std::uint32_t n : {2u, 3u, 4u}) {
+    const silent_n_state_ssr baseline(n);
+    expect_model_check_agrees(baseline, baseline.all_states());
+  }
+  for (const std::uint32_t n : {2u, 3u}) {
+    const optimal_silent_ssr optimal(n, verification_tuning(n));
+    expect_model_check_agrees(optimal, optimal.all_states());
+  }
+  const initialized_leader_election initialized(4);
+  expect_model_check_agrees(initialized, initialized.all_states());
+  const rank_skipping_baseline mutant{4};
+  expect_model_check_agrees(mutant, mutant.all_states());
 }
 
 // ---- linter surface ------------------------------------------------------

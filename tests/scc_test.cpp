@@ -12,7 +12,10 @@
 #include <vector>
 
 #include "pp/graph.hpp"
+#include "protocols/initialized.hpp"
+#include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
+#include "verification_inputs.hpp"
 #include "verify/graph_reachability.hpp"
 #include "verify/reachability.hpp"
 #include "verify/scc.hpp"
@@ -137,6 +140,27 @@ TEST(SccKernel, LongPathDoesNotRecurse) {
   }
 }
 
+// The shared terminal-class verdict on hand-built digraphs.  In the second,
+// 0 -> {1, 2}: 1 is a correct silent sink and 2 an incorrect one spinning
+// on a non-null self-loop, so only 2 is a witness -- 0 is incorrect but
+// not terminal.
+TEST(SccKernel, TerminalVerdictMarksWitnesses) {
+  const terminal_verdict clean =
+      classify_terminal_classes(adjacency_t{{1}, {}}, {false, true});
+  EXPECT_EQ(clean.terminal_classes, 1u);
+  EXPECT_TRUE(clean.self_stabilizing);
+  EXPECT_TRUE(clean.silent);
+
+  const terminal_verdict v =
+      classify_terminal_classes(adjacency_t{{1, 2}, {}, {2}},
+                                {false, true, false});
+  EXPECT_EQ(v.terminal_classes, 2u);
+  EXPECT_FALSE(v.self_stabilizing);
+  EXPECT_FALSE(v.silent);
+  EXPECT_EQ(v.incorrect_terminal, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(v.hot_terminal, (std::vector<bool>{false, false, true}));
+}
+
 // The multiset verifier on Protocol 1 at n=2: three configurations, one
 // correct silent sink -- the smallest real instance of the terminal-SCC
 // criterion.
@@ -151,6 +175,19 @@ TEST(ReachabilityVerifier, BaselineAtTwoAgents) {
   EXPECT_FALSE(r.counterexample.has_value());
 }
 
+// The position-aware verifier's verdicts on the complete graph (where
+// agent positions are interchangeable) equal the multiset verifier's.
+template <ranking_protocol P>
+void expect_complete_graph_matches_multisets(
+    const P& p, const std::vector<typename P::agent_state>& states) {
+  const std::uint32_t n = p.population_size();
+  const graph_verification_result tuples =
+      verify_on_graph(p, interaction_graph::complete(n), states);
+  const verification_result multisets = verify_self_stabilization(p, states);
+  EXPECT_EQ(tuples.self_stabilizing, multisets.self_stabilizing) << "n=" << n;
+  EXPECT_EQ(tuples.silent, multisets.silent) << "n=" << n;
+}
+
 // The position-aware verifier agrees with the multiset one on the complete
 // graph (where agent positions are interchangeable).
 TEST(GraphReachabilityVerifier, CompleteGraphMatchesMultisetVerdict) {
@@ -160,6 +197,18 @@ TEST(GraphReachabilityVerifier, CompleteGraphMatchesMultisetVerdict) {
   EXPECT_EQ(r.configurations, 27u);  // 3^3 position-aware tuples
   EXPECT_TRUE(r.self_stabilizing);
   EXPECT_TRUE(r.silent);
+
+  for (const std::uint32_t n : {2u, 3u, 4u}) {
+    const silent_n_state_ssr baseline(n);
+    expect_complete_graph_matches_multisets(baseline, baseline.all_states());
+  }
+  const optimal_silent_ssr optimal(2, verification_tuning(2));
+  expect_complete_graph_matches_multisets(optimal, optimal.all_states());
+  const initialized_leader_election initialized(4);
+  expect_complete_graph_matches_multisets(initialized,
+                                          initialized.all_states());
+  const rank_skipping_baseline mutant{4};
+  expect_complete_graph_matches_multisets(mutant, mutant.all_states());
 }
 
 // On a 4-ring two equal-rank agents on opposite corners never meet:

@@ -6,9 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "pp/accelerated.hpp"
+#include "pp/graph.hpp"
 #include "protocols/initialized.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
+#include "verification_inputs.hpp"
+#include "verify/graph_reachability.hpp"
+#include "verify/model_check/config_space.hpp"
 
 namespace ssr {
 namespace {
@@ -37,21 +45,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BaselineVerification,
 // an all-even configuration the odd ranks are unreachable: the mutant is
 // NOT self-stabilizing, and the verifier must find the counterexample.
 TEST(BaselineVerification, MutantSkippingRanksIsRejected) {
-  struct mutant_baseline {
-    using agent_state = silent_n_state_ssr::agent_state;
-    std::uint32_t n;
-    std::uint32_t population_size() const { return n; }
-    bool interact(agent_state& a, agent_state& b, rng_t&) const {
-      if (a.rank != b.rank) return false;
-      b.rank = (b.rank + 2) % n;  // BUG: should be + 1
-      return true;
-    }
-    std::uint32_t rank_of(const agent_state& s) const { return s.rank + 1; }
-  };
   const std::uint32_t n = 4;
-  mutant_baseline p{n};
-  std::vector<mutant_baseline::agent_state> states(n);
-  for (std::uint32_t r = 0; r < n; ++r) states[r].rank = r;
+  rank_skipping_baseline p{n};
+  const auto states = p.all_states();
   const auto result = verify_self_stabilization(p, states);
   EXPECT_FALSE(result.self_stabilizing);
   ASSERT_TRUE(result.counterexample.has_value());
@@ -99,24 +95,12 @@ TEST(InitializedVerification, IsNotSelfStabilizing) {
 
 // ----------------------------------------------------------- Protocols 3+4
 
-optimal_silent_ssr::tuning tiny_tuning(std::uint32_t n) {
-  // The smallest constants that keep the configuration space tractable.
-  // Self-stabilization (a probability-1 property) must hold for *any*
-  // positive constants -- the Theta(n) choices in the paper only buy
-  // speed, not correctness.
-  optimal_silent_ssr::tuning t;
-  t.e_max = n;
-  t.r_max = 2;
-  t.d_max = 2;
-  return t;
-}
-
 class OptimalSilentVerification
     : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(OptimalSilentVerification, IsSelfStabilizingAndSilent) {
   const std::uint32_t n = GetParam();
-  optimal_silent_ssr p(n, tiny_tuning(n));
+  optimal_silent_ssr p(n, verification_tuning(n));
   const auto result = verify_self_stabilization(p, p.all_states());
   EXPECT_TRUE(result.self_stabilizing) << "n=" << n;
   EXPECT_TRUE(result.silent) << "n=" << n;
@@ -131,7 +115,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, OptimalSilentVerification,
 
 TEST(OptimalSilentVerification, InventoryMatchesStateCount) {
   const std::uint32_t n = 3;
-  const auto t = tiny_tuning(n);
+  const auto t = verification_tuning(n);
   optimal_silent_ssr p(n, t);
   EXPECT_EQ(p.all_states().size(), optimal_silent_ssr::state_count(n, t));
 }
@@ -170,10 +154,46 @@ TEST(OptimalSilentVerification, PaperLiteralGuardMutantIsRejected) {
     }
   };
   const std::uint32_t n = 3;
-  literal_guard_protocol p{optimal_silent_ssr(n, tiny_tuning(n))};
+  literal_guard_protocol p{optimal_silent_ssr(n, verification_tuning(n))};
   const auto states = p.inner.all_states();
   const auto result = verify_self_stabilization(p, states);
   EXPECT_FALSE(result.self_stabilizing);
+}
+
+// ------------------------------------------------ transition-table closure
+
+// Every consumer of the shared transition table (pp/transition_table.hpp)
+// rejects a protocol whose transitions leave its declared inventory, with
+// the table's one message.
+TEST(TransitionTable, EveryConsumerRejectsAnEscape) {
+  const std::uint32_t n = 3;
+  const escaping_baseline p{n};
+  const auto states = p.all_states();
+  const auto thrown = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "nothing thrown";
+  };
+  const std::string escape = "state outside the declared state inventory";
+  EXPECT_EQ(thrown([&] {
+              verify::build_config_graph<escaping_baseline>(
+                  p, states, [](const auto&) { return true; });
+            }),
+            escape);
+  EXPECT_EQ(thrown([&] { verify_self_stabilization(p, states); }), escape);
+  EXPECT_EQ(thrown([&] {
+              verify_on_graph(p, interaction_graph::complete(n), states);
+            }),
+            escape);
+  EXPECT_EQ(thrown([&] {
+              accelerated_simulation<escaping_baseline>(
+                  p, states, std::vector<escaping_baseline::agent_state>(n),
+                  1);
+            }),
+            escape);
 }
 
 }  // namespace
