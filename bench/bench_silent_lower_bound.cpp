@@ -29,18 +29,15 @@ std::vector<double> planted_duplicate_times(std::uint32_t n,
                                             std::size_t trials,
                                             std::uint64_t seed,
                                             engine_spec engine) {
-  return run_trials(
-      trials, seed,
-      [n, engine](std::uint64_t s, engine_kind) {
-        silent_n_state_ssr p(n);
-        std::vector<silent_n_state_ssr::agent_state> config(n);
-        for (std::uint32_t i = 0; i < n; ++i) config[i].rank = i;
-        config[1].rank = 0;  // duplicate leader; rank 1 now vacant
-        const auto r = measure_convergence_with(engine, p, std::move(config),
-                                                s, {.max_parallel_time = 1e9});
-        return r.convergence_time;
-      },
-      {.parallel = true, .engine = engine});
+  return run_trials(trials, seed, [n, engine](std::uint64_t s) {
+    silent_n_state_ssr p(n);
+    std::vector<silent_n_state_ssr::agent_state> config(n);
+    for (std::uint32_t i = 0; i < n; ++i) config[i].rank = i;
+    config[1].rank = 0;  // duplicate leader; rank 1 now vacant
+    const auto r = measure_convergence_with(engine, p, std::move(config), s,
+                                            {.max_parallel_time = 1e9});
+    return r.convergence_time;
+  });
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/table.hpp"
@@ -13,6 +14,7 @@
 #include "pp/convergence.hpp"
 #include "pp/trial.hpp"
 #include "protocols/silent_n_state.hpp"
+#include "serve/trial_recipe.hpp"
 #include "util/edit_distance.hpp"
 #include "util/request_spec.hpp"
 
@@ -56,6 +58,24 @@ std::uint64_t parse_u64_value(std::string_view flag, std::string_view text) {
     value = value * 10 + digit;
   }
   return value;
+}
+
+// Runs the spec.trials trials of the recipe `spec` names through the
+// runner's trial function, as `ssr_cli run` would.  `confirm`, when given,
+// replaces the recipe's confirmation window.
+std::vector<double> recipe_times(const util::sim_request_spec& spec,
+                                 bool parallel = true,
+                                 std::optional<double> confirm = {}) {
+  const convergence_options opt{.max_parallel_time = spec.max_time};
+  return run_trials(
+      static_cast<std::size_t>(spec.trials), spec.seed,
+      [&](std::uint64_t s) {
+        return serve::with_trial_recipe(spec, s, [&](auto recipe) {
+          if (confirm) recipe.confirm_parallel_time = *confirm;
+          return serve::run_trial(std::move(recipe), spec.engine, opt);
+        });
+      },
+      {.parallel = parallel});
 }
 
 }  // namespace
@@ -272,31 +292,8 @@ std::string reporter::finish() {
 std::vector<double> baseline_times(std::uint32_t n, std::size_t trials,
                                    std::uint64_t seed, engine_spec engine) {
   obs::timeline_scope phase(obs::profiler_default(), "phase.baseline");
-  // The lambdas receive the engine *kind* through run_trials (its signature
-  // predates engine_spec); the full spec -- shard count included -- rides in
-  // via capture, and kind stays useful for the direct fast path.
-  return run_trials(
-      trials, seed,
-      [n, engine](std::uint64_t s, engine_kind kind) -> double {
-        if (kind == engine_kind::direct) {
-          // Seed behavior: the Protocol 1-specialized exact jump simulator.
-          rng_t rng(s);
-          std::vector<std::uint32_t> ranks(n);
-          for (auto& r : ranks)
-            r = static_cast<std::uint32_t>(uniform_below(rng, n));
-          accelerated_silent_n_state sim(n, ranks, s ^ 0x5bd1e995);
-          return sim.run_to_stabilization();
-        }
-        silent_n_state_ssr p(n);
-        rng_t rng(s);
-        auto init = adversarial_configuration(p, rng);
-        const auto r = measure_convergence_with(engine, p, std::move(init),
-                                                s ^ 0x5bd1e995);
-        if (!r.converged)
-          throw std::runtime_error("baseline did not converge");
-        return r.convergence_time;
-      },
-      {.parallel = true, .engine = engine});
+  return recipe_times({.protocol = "baseline", .n = n, .trials = trials,
+                       .seed = seed, .max_time = 1e9, .engine = engine});
 }
 
 std::vector<double> baseline_lower_bound_times(std::uint32_t n,
@@ -305,24 +302,19 @@ std::vector<double> baseline_lower_bound_times(std::uint32_t n,
                                                engine_spec engine) {
   obs::timeline_scope phase(obs::profiler_default(),
                             "phase.baseline_lower_bound");
-  silent_n_state_ssr p(n);
-  const auto config = p.lower_bound_configuration();
-  std::vector<std::uint32_t> ranks(n);
-  for (std::uint32_t i = 0; i < n; ++i) ranks[i] = config[i].rank;
-  return run_trials(
-      trials, seed,
-      [n, ranks, config, engine](std::uint64_t s, engine_kind kind) -> double {
-        if (kind == engine_kind::direct) {
-          accelerated_silent_n_state sim(n, ranks, s);
-          return sim.run_to_stabilization();
-        }
-        const auto r = measure_convergence_with(engine, silent_n_state_ssr(n),
-                                                config, s);
-        if (!r.converged)
-          throw std::runtime_error("baseline did not converge");
-        return r.convergence_time;
-      },
-      {.parallel = true, .engine = engine});
+  // E5's own recipe: the paper's lower-bound start, and the trial seed as
+  // the engine seed, unsalted.
+  const silent_n_state_ssr protocol(n);
+  const auto initial = protocol.lower_bound_configuration();
+  return run_trials(trials, seed, [&](std::uint64_t s) {
+    return serve::run_trial(
+        serve::trial_recipe<silent_n_state_ssr>{
+            .protocol = protocol,
+            .initial = initial,
+            .engine_seed = s,
+            .failure = "baseline did not converge within max_time"},
+        engine, {.max_parallel_time = 1e9});
+  });
 }
 
 std::vector<double> optimal_silent_times(std::uint32_t n, std::size_t trials,
@@ -330,21 +322,9 @@ std::vector<double> optimal_silent_times(std::uint32_t n, std::size_t trials,
                                          optimal_silent_scenario scenario,
                                          engine_spec engine) {
   obs::timeline_scope phase(obs::profiler_default(), "phase.optimal_silent");
-  return run_trials(
-      trials, seed,
-      [=](std::uint64_t s, engine_kind) {
-        optimal_silent_ssr p(n);
-        rng_t rng(s);
-        auto init = adversarial_configuration(p, scenario, rng);
-        convergence_options opt;
-        opt.max_parallel_time = 1e9;
-        const auto r = measure_convergence_with(engine, p, std::move(init),
-                                                s ^ 0x9747b28c, opt);
-        if (!r.converged)
-          throw std::runtime_error("optimal-silent did not converge");
-        return r.convergence_time;
-      },
-      {.parallel = true, .engine = engine});
+  return recipe_times({.protocol = "optimal", .scenario = to_string(scenario),
+                       .n = n, .trials = trials, .seed = seed,
+                       .max_time = 1e9, .engine = engine});
 }
 
 std::vector<double> sublinear_times(std::uint32_t n, std::uint32_t h,
@@ -353,22 +333,10 @@ std::vector<double> sublinear_times(std::uint32_t n, std::uint32_t h,
                                     double confirm, bool parallel,
                                     engine_spec engine) {
   obs::timeline_scope phase(obs::profiler_default(), "phase.sublinear");
-  return run_trials(
-      trials, seed,
-      [=](std::uint64_t s, engine_kind) {
-        sublinear_time_ssr p(n, h);
-        rng_t rng(s);
-        auto init = adversarial_configuration(p, scenario, rng);
-        convergence_options opt;
-        opt.max_parallel_time = 1e8;
-        opt.confirm_parallel_time = confirm;
-        const auto r = measure_convergence_with(engine, p, std::move(init),
-                                                s ^ 0x85ebca6b, opt);
-        if (!r.converged)
-          throw std::runtime_error("sublinear did not converge");
-        return r.convergence_time;
-      },
-      {.parallel = parallel, .engine = engine});
+  return recipe_times({.protocol = "sublinear", .scenario = to_string(scenario),
+                       .n = n, .h = h, .trials = trials, .seed = seed,
+                       .max_time = 1e8, .engine = engine},
+                      parallel, confirm);
 }
 
 std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
@@ -378,7 +346,7 @@ std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
   obs::timeline_scope phase(obs::profiler_default(), "phase.detection");
   return run_trials(
       trials, seed,
-      [=](std::uint64_t s, engine_kind) {
+      [=](std::uint64_t s) {
         sublinear_time_ssr p(n, h);
         rng_t rng(s);
         auto init = adversarial_configuration(
@@ -408,7 +376,7 @@ std::vector<double> detection_latencies(std::uint32_t n, std::uint32_t h,
                              return detect(eng);
                            });
       },
-      {.parallel = parallel, .engine = engine});
+      {.parallel = parallel});
 }
 
 std::vector<std::string> time_cells(const summary& s) {

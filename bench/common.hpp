@@ -2,16 +2,24 @@
 //
 // Every experiment measures stabilization times over many seeded trials and
 // prints paper-style rows; the helpers here own the repetitive parts:
-// per-protocol trial functions, summary formatting, a banner that ties
+// per-protocol trial helpers, summary formatting, a banner that ties
 // each binary back to the table/figure it reproduces, and the --engine
 // flag every bench accepts.
 //
+// The trial helpers run trials the way `ssr_cli run` does: each trial is
+// the runner's trial recipe (serve/trial_recipe.hpp: the protocol, a start
+// configuration drawn from the trial seed, the salted engine seed) run by
+// serve::run_trial, through the one run_trials (pp/trial.hpp).  A bench's
+// own inputs are set on the recipe's fields: E1's and E2's confirmation
+// windows, E5's lower-bound start.  A trial that does not converge throws
+// the recipe's failure text.
+//
 // Engine selection (pp/engine.hpp): each trial helper takes an engine_spec.
-// `direct` keeps the seed behavior: per-interaction stepping, except for
-// the Protocol 1 baseline whose "direct" path has always been the
-// protocol-specialized exact jump simulator (accelerated_silent_n_state) --
-// truly direct stepping of a Theta(n^2)-time protocol is Theta(n^3)
-// interactions and infeasible at bench sizes.  `batched` routes through the
+// `direct` steps every interaction, except for the Protocol 1 baseline
+// whose "direct" path has always been the protocol-specialized exact jump
+// simulator (accelerated_silent_n_state, run by serve::run_trial) -- truly
+// direct stepping of a Theta(n^2)-time protocol is Theta(n^3) interactions
+// and infeasible at bench sizes.  `batched` routes through the
 // unified batched engine, which is distribution-equivalent
 // (tests/engine_equivalence_test.cpp) and the only way to the n >= 10^6
 // regime; bench_engine_scaling quantifies the gap.  `sharded` (with
@@ -56,14 +64,14 @@ void banner(const std::string& experiment, const std::string& artifact,
 ///   --history-dir=DIR         also append the report under
 ///                             DIR/<git_rev>/ for report_trend
 ///   --progress                periodic heartbeat (trials done, rate, ETA)
-///                             on stderr during every sweep
+///                             on stderr during every run_trials sweep
 ///   --profile                 hierarchical section profiling: hardware
 ///                             counters when available (wall time always),
 ///                             a PROFILE_<id>.folded flamegraph next to the
 ///                             JSON artifact, a "profile" block in it
 ///                             (schema 2.1), and derived
 ///                             instructions/cycles-per-interaction rows.
-///                             Forces sequential trials.
+///                             Forces sequential trials (parallel_for_index).
 ///
 /// Trial counts and seeds are per-row constants chosen by each bench, so
 /// the overrides are optional: row code asks args.trials_or(default) /
@@ -115,8 +123,10 @@ class reporter {
                              std::string params, double value,
                              std::string unit, bool higher_is_better = true);
 
-  /// Registry for this run; pass &metrics() through trial_options (or
-  /// absorb engine counters into it) to land them in the report.
+  /// Registry for this run, snapshotted into the report by finish().  A
+  /// bench that calls run_trials itself lands its trial accounting here
+  /// with {.metrics = &metrics()}; engine counters land here through
+  /// absorb().
   obs::metrics_registry& metrics() { return metrics_; }
 
   /// Non-null while --profile is active (between construction and
@@ -166,7 +176,7 @@ std::vector<double> optimal_silent_times(
 
 /// Convergence times of Sublinear-Time-SSR from a scenario.  `confirm` is
 /// the extra parallel time correctness must hold (the protocol is
-/// non-silent).
+/// non-silent); it replaces the recipe's window.
 /// `parallel` controls multi-threaded trials: large-(n, H) history trees
 /// need hundreds of MB per live simulation, so big points run sequentially.
 std::vector<double> sublinear_times(std::uint32_t n, std::uint32_t h,

@@ -62,7 +62,7 @@ double sublinear_mean(std::uint32_t n, std::size_t trials) {
         return measure_convergence(p, std::move(init), s, opt)
             .convergence_time;
       },
-      /*parallel=*/n < 32);
+      {.parallel = n < 32});
   return summarize(times).mean;
 }
 

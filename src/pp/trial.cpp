@@ -19,9 +19,11 @@ void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& body,
                         bool parallel) {
   if (count == 0) return;
+  // A default profiler keeps every body on this thread (see the header).
+  const bool threaded = parallel && obs::profiler_default() == nullptr;
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t workers =
-      parallel ? std::min<std::size_t>(count, hw == 0 ? 4 : hw) : 1;
+      threaded ? std::min<std::size_t>(count, hw == 0 ? 4 : hw) : 1;
 
   if (workers <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
@@ -56,32 +58,15 @@ void parallel_for_index(std::size_t count,
 
 std::vector<double> run_trials(
     std::size_t count, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t)>& trial, bool parallel) {
-  std::vector<double> results(count);
-  parallel_for_index(
-      count,
-      [&](std::size_t i) { results[i] = trial(derive_seed(base_seed, i)); },
-      parallel);
-  return results;
-}
-
-std::vector<double> run_trials(
-    std::size_t count, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t, engine_kind)>& trial,
+    const std::function<double(std::uint64_t)>& trial,
     const trial_options& options) {
   std::vector<double> results(count);
-
-  // A default profiler (--profile) forces sequential trials: the section
-  // collector is single-threaded and hardware counter groups are bound to
-  // the profiling thread.
   obs::timeline_profiler* profiler = obs::profiler_default();
-  const bool parallel = options.parallel && profiler == nullptr;
 
   // The heartbeat needs a registry to watch; fall back to a local one when
   // the caller did not wire metrics through.  Accounting always runs when
   // either consumer (metrics or heartbeat) wants it.
-  const bool progress =
-      (options.progress || obs::progress_default()) && count > 1;
+  const bool progress = obs::progress_default() && count > 1;
   std::optional<obs::metrics_registry> local_registry;
   obs::metrics_registry* registry = options.metrics;
   if (registry == nullptr && progress) registry = &local_registry.emplace();
@@ -97,18 +82,15 @@ std::vector<double> run_trials(
       [&](std::size_t i) {
         obs::timeline_scope section(profiler, "trial");
         if (options.cancel != nullptr) options.cancel->throw_if_cancelled();
-        if (registry == nullptr) {
-          results[i] = trial(derive_seed(base_seed, i), options.engine.kind);
-          return;
-        }
         const auto start = std::chrono::steady_clock::now();
-        results[i] = trial(derive_seed(base_seed, i), options.engine.kind);
+        results[i] = trial(derive_seed(base_seed, i));
+        if (registry == nullptr) return;
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - start;
         registry->get_histogram("trial.seconds").record(elapsed.count());
         registry->get_counter("trials.completed").add(1);
       },
-      parallel);
+      options.parallel);
   return results;
 }
 

@@ -4,6 +4,9 @@
 // run_trials fans the per-seed measurement function out over hardware
 // threads while keeping results ordered and reproducible (trial i always
 // receives derive_seed(base_seed, i) regardless of thread assignment).
+// What a trial runs is the caller's: the bench helpers and the serve
+// runner (behind ssr_serve and `ssr_cli run`) pass serve::run_trial over a
+// trial recipe (serve/trial_recipe.hpp).
 #pragma once
 
 #include <cstdint>
@@ -12,38 +15,26 @@
 
 #include "obs/metrics.hpp"
 #include "pp/cancellation.hpp"
-#include "pp/engine.hpp"
 
 namespace ssr {
 
 /// Runs `body(index)` for every index in [0, count), possibly concurrently.
 /// Exceptions thrown by any invocation are rethrown on the calling thread.
+/// Every body runs on the calling thread when `parallel` is false or while
+/// a default profiler is installed (obs::set_profiler_default, --profile):
+/// the section collector is single-threaded and hardware counter groups
+/// are bound to the profiling thread.
 void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& body,
                         bool parallel = true);
 
-/// Runs `trial(seed)` for `count` derived seeds and returns the results in
-/// trial order.
-std::vector<double> run_trials(
-    std::size_t count, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t)>& trial, bool parallel = true);
-
-/// Options for engine-aware sweeps.  The engine choice rides along with the
-/// parallelism flag so every measurement layer (bench/common, ssr_cli,
-/// one-off sweeps) selects --engine=direct|batched|sharded uniformly;
-/// engine_spec carries the shard count for the sharded engine.
 struct trial_options {
+  /// Spread trials over hardware threads (parallel_for_index).
   bool parallel = true;
-  engine_spec engine = engine_kind::direct;
   /// When set, run_trials records "trials.completed" (counter) and
   /// "trial.seconds" (histogram of per-trial wall time) into the registry.
   /// The registry is thread-safe, so this works under parallel execution.
   obs::metrics_registry* metrics = nullptr;
-  /// Prints a periodic heartbeat (trials completed, trials/s, ETA) to
-  /// stderr while the sweep runs.  Also enabled process-wide by
-  /// obs::set_progress_default(true) -- the hook behind the --progress
-  /// flags -- without touching call sites.
-  bool progress = false;
   /// Cooperative cancellation (pp/cancellation.hpp): polled before every
   /// trial; a fired token aborts the sweep with cancelled_error.  The
   /// serve layer wires per-request deadlines through this.  Trial bodies
@@ -51,15 +42,14 @@ struct trial_options {
   const cancel_token* cancel = nullptr;
 };
 
-/// Engine-aware overload: `trial(seed, engine)` runs one measurement on the
-/// selected engine kind.  Seeds are derived exactly as in the base overload,
-/// so for a fixed engine the results are bit-identical regardless of the
-/// parallel flag or thread count (tests/determinism_test.cpp).  Callers
-/// whose measurement depends on the full spec (shard count) capture it in
-/// the closure instead -- see bench/common.cpp.
+/// Runs `trial(seed)` for `count` derived seeds and returns the results in
+/// trial order, bit-identical whatever the parallel flag or thread count
+/// (tests/determinism_test.cpp).  Each trial is a "trial" profile section.
+/// While obs::set_progress_default(true) is in force (the --progress
+/// flags) a heartbeat -- trials completed, trials/s, ETA -- goes to stderr.
 std::vector<double> run_trials(
     std::size_t count, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t, engine_kind)>& trial,
-    const trial_options& options);
+    const std::function<double(std::uint64_t)>& trial,
+    const trial_options& options = {});
 
 }  // namespace ssr

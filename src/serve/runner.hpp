@@ -3,9 +3,11 @@
 // This is the bridge between the service scheduler and the measurement
 // substrate: a validated util::sim_request_spec maps onto one trial recipe
 // per trial seed (serve/trial_recipe.hpp, which ssr_cli's flag mode runs
-// too), run through run_trials with sequential per-job execution -- the
+// too), and run_trial -- the trial function the bench helpers call too --
+// runs each one, through run_trials with sequential per-job execution: the
 // serve worker pool is the concurrency, so one job never fans out
-// internally.
+// internally.  The runner itself only wires telemetry: the per-job
+// profiler and counters, and trial 0's trace and phase names.
 //
 // Determinism contract: the result document is a pure function of the
 // spec.  Trial seeds derive from spec.seed exactly as in every bench

@@ -2,9 +2,8 @@
 //
 //   * run_trials is bit-identical for the same base seed regardless of the
 //     parallel flag (trials are seeded per index via derive_seed, so thread
-//     count and scheduling order cannot leak into results) -- for the
-//     legacy overload and for the engine-selecting overload under both
-//     engines;
+//     count and scheduling order cannot leak into results) -- for a plain
+//     trial and for a trial that captures its engine, under both engines;
 //   * direct_engine<P> trajectories replay exactly from a recorded seed;
 //   * direct_engine<P> consumes the RNG stream exactly as the reference loop
 //     "sample_pair, then interact" does, the contract that keeps every
@@ -41,22 +40,22 @@ TEST(Determinism, RunTrialsLegacyOverloadParallelFlagInvariant) {
   const auto trial = [](std::uint64_t s) {
     return baseline_trial(s, engine_kind::direct);
   };
-  const auto parallel = run_trials(32, 99, trial, /*parallel=*/true);
-  const auto serial = run_trials(32, 99, trial, /*parallel=*/false);
+  const auto parallel = run_trials(32, 99, trial, {.parallel = true});
+  const auto serial = run_trials(32, 99, trial, {.parallel = false});
   EXPECT_EQ(parallel, serial);
 }
 
 TEST(Determinism, RunTrialsEngineOverloadParallelFlagInvariant) {
   for (const engine_kind kind :
        {engine_kind::direct, engine_kind::batched}) {
-    const auto parallel = run_trials(32, 123, baseline_trial,
-                                     {.parallel = true, .engine = kind});
-    const auto serial = run_trials(32, 123, baseline_trial,
-                                   {.parallel = false, .engine = kind});
+    const auto trial = [kind](std::uint64_t s) {
+      return baseline_trial(s, kind);
+    };
+    const auto parallel = run_trials(32, 123, trial, {.parallel = true});
+    const auto serial = run_trials(32, 123, trial, {.parallel = false});
     EXPECT_EQ(parallel, serial) << "engine " << to_string(kind);
     // Same base seed => same per-trial seeds; repeated runs reproduce too.
-    const auto again = run_trials(32, 123, baseline_trial,
-                                  {.parallel = true, .engine = kind});
+    const auto again = run_trials(32, 123, trial, {.parallel = true});
     EXPECT_EQ(parallel, again) << "engine " << to_string(kind);
   }
 }

@@ -31,7 +31,6 @@
 #include "analysis/ks_test.hpp"
 #include "pp/convergence.hpp"
 #include "pp/engine.hpp"
-#include "pp/sharded_scheduler.hpp"
 #include "pp/trial.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/loose_stabilizing.hpp"
@@ -65,92 +64,61 @@ void expect_ks_equivalent(const std::vector<double>& reference,
 std::vector<double> baseline_sample(engine_spec spec, std::uint64_t base,
                                     std::size_t trials) {
   const std::uint32_t n = 32;
-  return run_trials(
-      trials, base,
-      [n, spec](std::uint64_t s, engine_kind) -> double {
-        silent_n_state_ssr p(n);
-        rng_t rng(s);
-        auto init = adversarial_configuration(p, rng);
-        const auto r =
-            measure_convergence_with(spec, p, std::move(init), s ^ 0x5bd1e995);
-        return r.converged ? r.convergence_time : -1.0;
-      },
-      {.parallel = true, .engine = spec});
+  return run_trials(trials, base, [n, spec](std::uint64_t s) -> double {
+    silent_n_state_ssr p(n);
+    rng_t rng(s);
+    auto init = adversarial_configuration(p, rng);
+    const auto r =
+        measure_convergence_with(spec, p, std::move(init), s ^ 0x5bd1e995);
+    return r.converged ? r.convergence_time : -1.0;
+  });
 }
 
 std::vector<double> optimal_sample(engine_spec spec, std::uint64_t base,
                                    std::size_t trials) {
   const std::uint32_t n = 24;
-  return run_trials(
-      trials, base,
-      [n, spec](std::uint64_t s, engine_kind) -> double {
-        optimal_silent_ssr p(n);
-        rng_t rng(s);
-        auto init = adversarial_configuration(
-            p, optimal_silent_scenario::uniform_random, rng);
-        convergence_options opt;
-        opt.max_parallel_time = 1e7;
-        const auto r = measure_convergence_with(spec, p, std::move(init),
-                                                s ^ 0x9747b28c, opt);
-        return r.converged ? r.convergence_time : -1.0;
-      },
-      {.parallel = true, .engine = spec});
+  return run_trials(trials, base, [n, spec](std::uint64_t s) -> double {
+    optimal_silent_ssr p(n);
+    rng_t rng(s);
+    auto init = adversarial_configuration(
+        p, optimal_silent_scenario::uniform_random, rng);
+    convergence_options opt;
+    opt.max_parallel_time = 1e7;
+    const auto r = measure_convergence_with(spec, p, std::move(init),
+                                            s ^ 0x9747b28c, opt);
+    return r.converged ? r.convergence_time : -1.0;
+  });
 }
 
 std::vector<double> sublinear_sample(engine_spec spec, std::uint64_t base,
                                      std::size_t trials) {
   const std::uint32_t n = 32;
   const std::uint32_t h = 2;
-  return run_trials(
-      trials, base,
-      [=](std::uint64_t s, engine_kind) -> double {
-        sublinear_time_ssr p(n, h);
-        rng_t rng(s);
-        auto init = adversarial_configuration(
-            p, sublinear_scenario::uniform_random, rng);
-        convergence_options opt;
-        opt.max_parallel_time = 1e8;
-        const auto r = measure_convergence_with(spec, p, std::move(init),
-                                                s ^ 0x85ebca6b, opt);
-        return r.converged ? r.convergence_time : -1.0;
-      },
-      {.parallel = true, .engine = spec});
-}
-
-// Drives the loose protocol on whichever engine `spec` selects; the loose
-// protocol is not batch-countable, so the batched kind lands on the block-
-// sampling path.
-template <class Drive>
-double drive_loose(engine_spec spec, const loose_stabilizing_le& p,
-                   std::uint64_t s, Drive&& drive) {
-  if (spec.kind == engine_kind::direct) {
-    direct_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), s);
-    return drive(eng);
-  }
-  if (spec.kind == engine_kind::sharded) {
-    sharded_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), s,
-                                             {.shards = spec.shards});
-    return drive(eng);
-  }
-  batched_engine<loose_stabilizing_le> eng(p, p.dead_configuration(), s);
-  return drive(eng);
+  return run_trials(trials, base, [=](std::uint64_t s) -> double {
+    sublinear_time_ssr p(n, h);
+    rng_t rng(s);
+    auto init = adversarial_configuration(
+        p, sublinear_scenario::uniform_random, rng);
+    convergence_options opt;
+    opt.max_parallel_time = 1e8;
+    const auto r = measure_convergence_with(spec, p, std::move(init),
+                                            s ^ 0x85ebca6b, opt);
+    return r.converged ? r.convergence_time : -1.0;
+  });
 }
 
 std::vector<double> loose_sample(engine_spec spec, std::uint64_t base,
                                  std::size_t trials) {
   const std::uint32_t n = 32;
   const std::uint32_t t_max = 20;  // 4 log2 n
-  return run_trials(
-      trials, base,
-      [=](std::uint64_t s, engine_kind) -> double {
-        loose_stabilizing_le p(n, t_max);
-        convergence_options opt;
-        opt.max_parallel_time = 200'000;
-        const convergence_result r = measure_convergence_with(
-            spec, p, p.dead_configuration(), s, opt);
-        return r.converged ? r.convergence_time : -1.0;
-      },
-      {.parallel = true, .engine = spec});
+  return run_trials(trials, base, [=](std::uint64_t s) -> double {
+    loose_stabilizing_le p(n, t_max);
+    convergence_options opt;
+    opt.max_parallel_time = 200'000;
+    const convergence_result r = measure_convergence_with(
+        spec, p, p.dead_configuration(), s, opt);
+    return r.converged ? r.convergence_time : -1.0;
+  });
 }
 
 // Leader count after a fixed horizon of 8n interactions from the dead
@@ -162,18 +130,17 @@ std::vector<double> loose_leader_counts(engine_spec spec, std::uint64_t base,
                                         std::size_t trials) {
   const std::uint32_t n = 32;
   const std::uint32_t t_max = 20;
-  return run_trials(
-      trials, base,
-      [=](std::uint64_t s, engine_kind) -> double {
-        loose_stabilizing_le p(n, t_max);
-        return drive_loose(spec, p, s, [&](auto& eng) -> double {
-          eng.run(
-              std::uint64_t{8} * n, [](const agent_pair&) {},
-              [](const agent_pair&, bool) { return false; });
-          return static_cast<double>(p.leader_count(eng.agents()));
-        });
-      },
-      {.parallel = true, .engine = spec});
+  return run_trials(trials, base, [=](std::uint64_t s) -> double {
+    loose_stabilizing_le p(n, t_max);
+    // The loose protocol is not batch-countable, so the batched kind lands
+    // on the block-sampling path.
+    return with_engine(spec, p, p.dead_configuration(), s, [&](auto& eng) {
+      eng.run(
+          std::uint64_t{8} * n, [](const agent_pair&) {},
+          [](const agent_pair&, bool) { return false; });
+      return static_cast<double>(p.leader_count(eng.agents()));
+    });
+  });
 }
 
 TEST(EngineEquivalence, SilentNStateStabilizationTimes) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 
+#include "obs/timeline.hpp"
 #include "pp/rng.hpp"
 
 namespace ssr {
@@ -38,6 +42,21 @@ TEST(ParallelForIndex, ZeroCountIsNoOp) {
   parallel_for_index(0, [](std::size_t) { FAIL(); });
 }
 
+TEST(ParallelForIndex, RunsOnTheCallingThreadWhileAProfilerIsInstalled) {
+  // The profiler's section collector is single-threaded, so an installed
+  // default profiler (--profile) must keep every body on this thread.
+  obs::timeline_profiler profiler;
+  obs::set_profiler_default(&profiler);
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  parallel_for_index(64, [&](std::size_t) {
+    const std::scoped_lock lock(mutex);
+    threads.insert(std::this_thread::get_id());
+  });
+  obs::set_profiler_default(nullptr);
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
 TEST(RunTrials, ResultsAreOrderedAndSeedDerived) {
   const auto results = run_trials(
       16, 7, [](std::uint64_t seed) { return static_cast<double>(seed % 97); });
@@ -52,8 +71,8 @@ TEST(RunTrials, ParallelAndSequentialAgree) {
   const auto trial = [](std::uint64_t seed) {
     return static_cast<double>(seed & 0xffff);
   };
-  const auto par = run_trials(64, 3, trial, /*parallel=*/true);
-  const auto seq = run_trials(64, 3, trial, /*parallel=*/false);
+  const auto par = run_trials(64, 3, trial, {.parallel = true});
+  const auto seq = run_trials(64, 3, trial, {.parallel = false});
   EXPECT_EQ(par, seq);
 }
 
