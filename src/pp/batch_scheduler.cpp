@@ -30,9 +30,9 @@ void batch_scheduler::refill_carry(rng_t& rng) {
   while (carry_.empty()) {
     for (std::uint64_t& word : raw) word = rng();
     simd::lemire_map(raw, chunk_words, bound, mapped, accept);
-    // Rejected lanes decode garbage-but-bounded values (mapped < bound
-    // always holds); they are filtered below without a branch in the
-    // vector kernels.
+    // Rejected words decode garbage-but-bounded values (mapped < bound
+    // always holds); they are filtered below, so the kernels run without
+    // a branch.
     simd::decode_ordered_distinct(mapped, chunk_words, cols_, initiator,
                                   responder);
     for (std::size_t i = 0; i < chunk_words; ++i) {

@@ -19,13 +19,13 @@
 // (tests/engine_equivalence_test.cpp) and the fuzz test
 // (tests/batch_scheduler_fuzz_test.cpp) pin down.
 //
-// The draw path is vectorized (pp/simd.hpp): raw RNG words are pre-drawn in
-// chunks, mapped through the Lemire accept rule and divide/modulo pair
-// decode with SIMD kernels, and spilled decoded pairs carry over to the
-// next batch.  Because the accept rule and decode are bit-identical to
-// uniform_below + sample_pair, the emitted pair stream equals the scalar
-// stream word for word (tests/simd_test.cpp pins this end to end); only
-// the RNG's read-ahead position differs.
+// The draw path works a chunk at a time (pp/simd.hpp): raw RNG words are
+// pre-drawn in chunks, mapped through the Lemire accept rule and the
+// divide/modulo pair decode, and decoded pairs a batch does not take carry
+// over to the next one.  The accept rule and the decode are bit-identical
+// to uniform_below + sample_pair (tests/simd_test.cpp checks both), so
+// the pairs are the ones sample_pair would draw from the same word stream;
+// only the RNG's read-ahead position differs.
 #pragma once
 
 #include <cstdint>
@@ -72,9 +72,9 @@ class batch_scheduler {
   std::uint64_t collision_truncations() const { return truncations_; }
 
  private:
-  /// Raw words pre-drawn (and SIMD-mapped) per refill of the decoded-pair
-  /// carry; spilled pairs survive across next_batch calls so no accepted
-  /// draw is ever discarded.
+  /// Raw words pre-drawn (and mapped together) per refill of the decoded-
+  /// pair carry; spilled pairs survive across next_batch calls so no
+  /// accepted draw is ever discarded.
   static constexpr std::size_t chunk_words = 32;
 
   void refill_carry(rng_t& rng);

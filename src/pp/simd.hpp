@@ -1,62 +1,30 @@
-// Portable SIMD kernels for the hot sampling paths.
+// Pair-sampling kernels for the block scheduler (pp/batch_scheduler.hpp).
 //
-// The batched engines spend most of their cycles mapping raw 64-bit RNG
-// words to scheduler pairs: a Lemire multiply-shift rejection (uniform
-// index below n(n-1)) followed by a divide/modulo decode into (initiator,
-// responder).  Both steps are data-parallel across independent draws, so
-// this header exposes them as fixed-function kernels over small arrays:
+// The block scheduler maps raw 64-bit RNG words to scheduler pairs a chunk
+// at a time: a Lemire multiply-shift rejection (uniform index below
+// n(n-1)) followed by a divide/modulo decode into (initiator, responder).
+// Both steps are independent across draws, so this header exposes them as
+// fixed-function kernels over small arrays:
 //
 //   lemire_map              raw words -> mapped values + accept flags,
 //                           bit-identical to uniform_below's accept rule
 //   decode_ordered_distinct mapped values -> ordered distinct pairs,
 //                           bit-identical to sample_pair's decode
-//   sum_u64                 horizontal reduction (count/weight totals)
+//   sum_u64                 wrapping sum (the sharded scheduler's weights)
 //
-// Backend selection is a configure-time decision (-DSSR_SIMD=avx2|neon|
-// scalar|auto at the CMake level):
-//
-//   backend   macro guard                          lanes (u64)
-//   avx2      __AVX2__                             4
-//   neon      __ARM_NEON                           2
-//   scalar    always compiled (ssr::simd::scalar)  1
-//
-// Every backend funnels division through the same u64_divider (libdivide-
-// style multiply-shift reciprocal), and the scalar reference implementations
-// live in ssr::simd::scalar unconditionally, so tests/simd_test.cpp can
-// assert bitwise equality between the dispatched kernels and the scalar
-// fallback in the same binary -- exactness is tested, not assumed.  On NEON
-// the 64x64->128 products are computed per lane (AArch64 has no vector
-// 64-bit mulhi); the vector win there is the compare/select/store traffic.
+// Division goes through u64_divider, a libdivide-style multiply-shift
+// reciprocal built once per population size.  tests/simd_test.cpp checks
+// every kernel against first principles: the divider against native
+// division, the map against uniform_below, the decode against every
+// ordered pair, and the sum's wraparound.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "pp/assert.hpp"
 
-#if !defined(SSR_SIMD_FORCE_SCALAR) && defined(__AVX2__)
-#define SSR_SIMD_BACKEND_AVX2 1
-#include <immintrin.h>
-#elif !defined(SSR_SIMD_FORCE_SCALAR) && defined(__ARM_NEON)
-#define SSR_SIMD_BACKEND_NEON 1
-#include <arm_neon.h>
-#else
-#define SSR_SIMD_BACKEND_SCALAR 1
-#endif
-
 namespace ssr::simd {
-
-#if defined(SSR_SIMD_BACKEND_AVX2)
-inline constexpr std::string_view backend_name = "avx2";
-inline constexpr std::size_t lane_width = 4;
-#elif defined(SSR_SIMD_BACKEND_NEON)
-inline constexpr std::string_view backend_name = "neon";
-inline constexpr std::size_t lane_width = 2;
-#else
-inline constexpr std::string_view backend_name = "scalar";
-inline constexpr std::size_t lane_width = 1;
-#endif
 
 /// Precomputed multiply-shift reciprocal for truncating 64-bit division by
 /// a runtime constant (libdivide's u64 "branchfull" scheme): divide() is
@@ -100,9 +68,8 @@ class u64_divider {
   }
 
   std::uint64_t divisor() const { return d_; }
-  std::uint64_t magic() const { return magic_; }
-  std::uint32_t shift() const { return shift_; }
 
+ private:
   static constexpr std::uint32_t add_marker = 0x40;
   static constexpr std::uint32_t shift_mask = 0x3f;
 
@@ -111,7 +78,6 @@ class u64_divider {
         (static_cast<unsigned __int128>(a) * b) >> 64);
   }
 
- private:
   static constexpr std::uint32_t floor_log2(std::uint64_t d) {
     std::uint32_t log2 = 0;
     while (d >>= 1) ++log2;
@@ -122,10 +88,6 @@ class u64_divider {
   std::uint64_t magic_ = 0;
   std::uint32_t shift_ = 0;
 };
-
-/// Reference (and fallback) implementations; always compiled so the
-/// dispatched kernels can be checked against them bitwise in any build.
-namespace scalar {
 
 /// For each raw RNG word x: value[i] = high 64 bits of x * bound, and
 /// accept[i] = 1 iff low 64 bits >= 2^64 mod bound -- exactly the accept
@@ -165,206 +127,5 @@ inline std::uint64_t sum_u64(const std::uint64_t* v, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) total += v[i];
   return total;
 }
-
-}  // namespace scalar
-
-#if defined(SSR_SIMD_BACKEND_AVX2)
-
-namespace detail {
-
-inline __m256i mulhi_epu64(__m256i a, __m256i b) {
-  // 64x64 -> high 64 via four 32x32 partial products (vpmuludq).
-  const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i lo_lo = _mm256_mul_epu32(a, b);
-  const __m256i hi_lo = _mm256_mul_epu32(a_hi, b);
-  const __m256i lo_hi = _mm256_mul_epu32(a, b_hi);
-  const __m256i hi_hi = _mm256_mul_epu32(a_hi, b_hi);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_add_epi64(_mm256_srli_epi64(lo_lo, 32),
-                                        _mm256_and_si256(hi_lo, lo_mask)),
-                       _mm256_and_si256(lo_hi, lo_mask));
-  return _mm256_add_epi64(
-      _mm256_add_epi64(hi_hi, _mm256_srli_epi64(hi_lo, 32)),
-      _mm256_add_epi64(_mm256_srli_epi64(lo_hi, 32),
-                       _mm256_srli_epi64(cross, 32)));
-}
-
-inline __m256i mullo_epu64(__m256i a, __m256i b) {
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i lo_lo = _mm256_mul_epu32(a, b);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(a_hi, b), _mm256_mul_epu32(a, b_hi));
-  return _mm256_add_epi64(lo_lo, _mm256_slli_epi64(cross, 32));
-}
-
-/// Lane mask (all-ones where a >= b) for unsigned 64-bit lanes; AVX2 only
-/// has signed compares, so both sides are bias-flipped first.
-inline __m256i cmpge_epu64(__m256i a, __m256i b) {
-  const __m256i bias = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ULL));
-  const __m256i gt_b =
-      _mm256_cmpgt_epi64(_mm256_xor_si256(b, bias), _mm256_xor_si256(a, bias));
-  return _mm256_cmpeq_epi64(gt_b, _mm256_setzero_si256());  // !(b > a)
-}
-
-inline __m256i srl_epu64(__m256i v, std::uint32_t count) {
-  return _mm256_srl_epi64(v, _mm_cvtsi32_si128(static_cast<int>(count)));
-}
-
-inline __m256i divide_epu64(__m256i x, const u64_divider& d) {
-  if (d.magic() == 0) return srl_epu64(x, d.shift());
-  const __m256i q = mulhi_epu64(_mm256_set1_epi64x(
-                                    static_cast<long long>(d.magic())),
-                                x);
-  if (d.shift() & u64_divider::add_marker) {
-    const __m256i t = _mm256_add_epi64(
-        _mm256_srli_epi64(_mm256_sub_epi64(x, q), 1), q);
-    return srl_epu64(t, d.shift() & u64_divider::shift_mask);
-  }
-  return srl_epu64(q, d.shift());
-}
-
-}  // namespace detail
-
-inline void lemire_map(const std::uint64_t* raw, std::size_t count,
-                       std::uint64_t bound, std::uint64_t* value,
-                       std::uint8_t* accept) {
-  const std::uint64_t threshold = (0 - bound) % bound;
-  const __m256i vbound = _mm256_set1_epi64x(static_cast<long long>(bound));
-  const __m256i vthr = _mm256_set1_epi64x(static_cast<long long>(threshold));
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + i));
-    const __m256i hi = detail::mulhi_epu64(x, vbound);
-    const __m256i lo = detail::mullo_epu64(x, vbound);
-    const __m256i ok = detail::cmpge_epu64(lo, vthr);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(value + i), hi);
-    const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(ok));
-    accept[i + 0] = static_cast<std::uint8_t>(mask & 1);
-    accept[i + 1] = static_cast<std::uint8_t>((mask >> 1) & 1);
-    accept[i + 2] = static_cast<std::uint8_t>((mask >> 2) & 1);
-    accept[i + 3] = static_cast<std::uint8_t>((mask >> 3) & 1);
-  }
-  if (i < count) scalar::lemire_map(raw + i, count - i, bound, value + i,
-                                    accept + i);
-}
-
-inline void decode_ordered_distinct(const std::uint64_t* k, std::size_t count,
-                                    const u64_divider& cols,
-                                    std::uint64_t* i_out,
-                                    std::uint64_t* j_out) {
-  const __m256i vd =
-      _mm256_set1_epi64x(static_cast<long long>(cols.divisor()));
-  std::size_t n = 0;
-  for (; n + 4 <= count; n += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k + n));
-    const __m256i q = detail::divide_epu64(x, cols);
-    const __m256i r = _mm256_sub_epi64(x, detail::mullo_epu64(q, vd));
-    // j = r + (r >= q): the ge mask is all-ones == -1 per lane, so
-    // subtracting it adds exactly one where the diagonal must be skipped.
-    const __m256i j = _mm256_sub_epi64(r, detail::cmpge_epu64(r, q));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(i_out + n), q);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(j_out + n), j);
-  }
-  if (n < count) scalar::decode_ordered_distinct(k + n, count - n, cols,
-                                                 i_out + n, j_out + n);
-}
-
-inline std::uint64_t sum_u64(const std::uint64_t* v, std::size_t count) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < count; ++i) total += v[i];
-  return total;
-}
-
-#elif defined(SSR_SIMD_BACKEND_NEON)
-
-inline void lemire_map(const std::uint64_t* raw, std::size_t count,
-                       std::uint64_t bound, std::uint64_t* value,
-                       std::uint8_t* accept) {
-  const std::uint64_t threshold = (0 - bound) % bound;
-  const uint64x2_t vthr = vdupq_n_u64(threshold);
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    // No vector 64-bit mulhi on AArch64: products per lane, compare/store
-    // vectorized.
-    const unsigned __int128 m0 =
-        static_cast<unsigned __int128>(raw[i]) * bound;
-    const unsigned __int128 m1 =
-        static_cast<unsigned __int128>(raw[i + 1]) * bound;
-    const uint64x2_t hi = {static_cast<std::uint64_t>(m0 >> 64),
-                           static_cast<std::uint64_t>(m1 >> 64)};
-    const uint64x2_t lo = {static_cast<std::uint64_t>(m0),
-                           static_cast<std::uint64_t>(m1)};
-    const uint64x2_t ok = vcgeq_u64(lo, vthr);
-    vst1q_u64(value + i, hi);
-    accept[i] = static_cast<std::uint8_t>(vgetq_lane_u64(ok, 0) & 1);
-    accept[i + 1] = static_cast<std::uint8_t>(vgetq_lane_u64(ok, 1) & 1);
-  }
-  if (i < count) scalar::lemire_map(raw + i, count - i, bound, value + i,
-                                    accept + i);
-}
-
-inline void decode_ordered_distinct(const std::uint64_t* k, std::size_t count,
-                                    const u64_divider& cols,
-                                    std::uint64_t* i_out,
-                                    std::uint64_t* j_out) {
-  const std::uint64_t d = cols.divisor();
-  std::size_t n = 0;
-  for (; n + 2 <= count; n += 2) {
-    const uint64x2_t q = {cols.divide(k[n]), cols.divide(k[n + 1])};
-    const uint64x2_t r = {k[n] - vgetq_lane_u64(q, 0) * d,
-                          k[n + 1] - vgetq_lane_u64(q, 1) * d};
-    // j = r + (r >= q): the ge mask is all-ones per lane, so subtracting it
-    // adds exactly one where the diagonal must be skipped.
-    const uint64x2_t j = vsubq_u64(r, vcgeq_u64(r, q));
-    vst1q_u64(i_out + n, q);
-    vst1q_u64(j_out + n, j);
-  }
-  if (n < count) scalar::decode_ordered_distinct(k + n, count - n, cols,
-                                                 i_out + n, j_out + n);
-}
-
-inline std::uint64_t sum_u64(const std::uint64_t* v, std::size_t count) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) acc = vaddq_u64(acc, vld1q_u64(v + i));
-  std::uint64_t total = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; i < count; ++i) total += v[i];
-  return total;
-}
-
-#else  // scalar backend
-
-inline void lemire_map(const std::uint64_t* raw, std::size_t count,
-                       std::uint64_t bound, std::uint64_t* value,
-                       std::uint8_t* accept) {
-  scalar::lemire_map(raw, count, bound, value, accept);
-}
-
-inline void decode_ordered_distinct(const std::uint64_t* k, std::size_t count,
-                                    const u64_divider& cols,
-                                    std::uint64_t* i_out,
-                                    std::uint64_t* j_out) {
-  scalar::decode_ordered_distinct(k, count, cols, i_out, j_out);
-}
-
-inline std::uint64_t sum_u64(const std::uint64_t* v, std::size_t count) {
-  return scalar::sum_u64(v, count);
-}
-
-#endif
 
 }  // namespace ssr::simd

@@ -2,8 +2,7 @@
 // declared state inventory: every ordered state pair (a, b) resolved
 // through `interact` once, into inventory indices (a', b').  The exhaustive
 // checks (verify/reachability.hpp, verify/graph_reachability.hpp,
-// verify/model_check/config_space.hpp) and the count-based accelerated
-// simulator (pp/accelerated.hpp) all work from this one table.  The
+// verify/model_check/config_space.hpp) all work from this one table.  The
 // protocols they accept never consult the rng argument of `interact`.
 //
 // A transition whose result is not in the inventory throws

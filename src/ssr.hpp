@@ -12,9 +12,7 @@
 #include "analysis/regression.hpp"
 #include "analysis/statistics.hpp"
 #include "analysis/table.hpp"
-#include "pp/accelerated.hpp"
 #include "pp/batch_scheduler.hpp"
-#include "pp/continuous_time.hpp"
 #include "pp/convergence.hpp"
 #include "pp/engine.hpp"
 #include "pp/graph.hpp"

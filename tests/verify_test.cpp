@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "pp/accelerated.hpp"
 #include "pp/graph.hpp"
 #include "protocols/initialized.hpp"
 #include "protocols/optimal_silent.hpp"
@@ -186,12 +185,6 @@ TEST(TransitionTable, EveryConsumerRejectsAnEscape) {
   EXPECT_EQ(thrown([&] { verify_self_stabilization(p, states); }), escape);
   EXPECT_EQ(thrown([&] {
               verify_on_graph(p, interaction_graph::complete(n), states);
-            }),
-            escape);
-  EXPECT_EQ(thrown([&] {
-              accelerated_simulation<escaping_baseline>(
-                  p, states, std::vector<escaping_baseline::agent_state>(n),
-                  1);
             }),
             escape);
 }

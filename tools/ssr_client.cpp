@@ -141,7 +141,13 @@ cli_options parse_args(int argc, char** argv) {
       std::exit(0);
     }
     if (const auto v = value_of("--port=")) {
-      opt.port = static_cast<std::uint16_t>(parse_flag_u64("--port", *v));
+      const std::uint64_t port = parse_flag_u64("--port", *v);
+      if (port > 65535) {
+        std::cerr << "error: --port must be at most 65535, got " << port
+                  << '\n';
+        std::exit(2);
+      }
+      opt.port = static_cast<std::uint16_t>(port);
       continue;
     }
     if (const auto v = value_of("--port-file=")) {

@@ -154,13 +154,22 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (const auto v = value_of("--port=")) {
-      options.port =
-          static_cast<std::uint16_t>(parse_flag_u64("--port", *v));
+      const std::uint64_t port = parse_flag_u64("--port", *v);
+      if (port > 65535) {
+        std::cerr << "error: --port must be at most 65535, got " << port
+                  << '\n';
+        return 2;
+      }
+      options.port = static_cast<std::uint16_t>(port);
       continue;
     }
     if (const auto v = value_of("--workers=")) {
       options.service.workers =
           static_cast<std::size_t>(parse_flag_u64("--workers", *v));
+      if (options.service.workers == 0) {
+        std::cerr << "error: --workers must be at least 1\n";
+        return 2;
+      }
       continue;
     }
     if (const auto v = value_of("--queue-depth=")) {
