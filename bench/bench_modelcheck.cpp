@@ -121,7 +121,7 @@ gate_result run_gate(const P& protocol, const lint::model_run& model,
   rep.add_samples("empirical", model.protocol, model.n, "", trials, seed,
                   "interactions", samples);
   // Sections differ so the exact / empirical-mean / sample rows keep
-  // distinct join keys (report_diff matches on section, protocol, n,
+  // distinct join keys (report_trend matches on section, protocol, n,
   // params) and a future run compares each against its own kind.
   const obs::report_row mean_row = rep.add_value(
       "empirical-mean", "empirical_expected_interactions", model.protocol,

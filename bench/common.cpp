@@ -16,6 +16,7 @@
 #include "protocols/silent_n_state.hpp"
 #include "serve/trial_recipe.hpp"
 #include "util/edit_distance.hpp"
+#include "util/flag_shape.hpp"
 #include "util/request_spec.hpp"
 
 namespace ssr::bench {
@@ -25,12 +26,20 @@ constexpr std::string_view bench_flags[] = {
     "--engine",   "--trials",      "--seed",     "--out-dir",  "--no-json",
     "--history-dir", "--progress", "--profile",  "--shards",   "--max-n",
 };
+constexpr std::string_view bench_switches[] = {"--no-json", "--progress",
+                                               "--profile"};
 
 [[noreturn]] void reject_flag(std::string_view arg) {
-  const std::string_view name = arg.substr(0, arg.find('='));
-  std::cerr << "error: unknown argument '" << name << "'";
-  const std::string_view suggestion = nearest_candidate(name, bench_flags);
-  if (!suggestion.empty()) std::cerr << " (did you mean " << suggestion << "?)";
+  const std::string shape = flag_shape_error(arg, bench_flags, bench_switches);
+  if (!shape.empty()) {
+    std::cerr << "error: " << shape;
+  } else {
+    const std::string_view name = arg.substr(0, arg.find('='));
+    std::cerr << "error: unknown argument '" << name << "'";
+    const std::string_view suggestion = nearest_candidate(name, bench_flags);
+    if (!suggestion.empty())
+      std::cerr << " (did you mean " << suggestion << "?)";
+  }
   std::cerr << "\nbenches accept --engine=direct|batched|sharded --shards=N"
                " --trials=N --seed=S --out-dir=DIR --no-json"
                " --history-dir=DIR --progress --profile --max-n=N\n";

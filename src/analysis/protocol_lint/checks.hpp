@@ -44,20 +44,23 @@ namespace ssr::lint {
 /// suppression marker instead of thousands of identical lines.
 class lint_context {
  public:
+  /// Findings recorded per code before the suppression marker.
+  static constexpr std::size_t cap = 8;
+
   lint_context(std::string protocol, std::uint32_t n,
-               std::vector<finding>* out, std::size_t cap_per_code = 8)
-      : protocol_(std::move(protocol)), n_(n), cap_(cap_per_code), out_(out) {}
+               std::vector<finding>* out)
+      : protocol_(std::move(protocol)), n_(n), out_(out) {}
 
   void emit(finding_code code, severity sev, std::string message) {
     std::size_t& seen = counts_[static_cast<std::size_t>(code)];
     ++seen;
-    if (seen < cap_) {
+    if (seen < cap) {
       out_->push_back({code, sev, protocol_, n_, std::move(message)});
-    } else if (seen == cap_) {
+    } else if (seen == cap) {
       out_->push_back({code, sev, protocol_, n_,
                        "further " + std::string(to_string(code)) +
                            " findings suppressed (cap " +
-                           std::to_string(cap_) + " reached)"});
+                           std::to_string(cap) + " reached)"});
     }
   }
 
@@ -72,7 +75,6 @@ class lint_context {
  private:
   std::string protocol_;
   std::uint32_t n_;
-  std::size_t cap_;
   std::vector<finding>* out_;
   std::array<std::size_t, finding_code_count> counts_{};
 };

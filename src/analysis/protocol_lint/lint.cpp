@@ -4,16 +4,16 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
-#include "analysis/protocol_lint/model_check.hpp"
 #include "analysis/table.hpp"
 #include "util/edit_distance.hpp"
 
 namespace ssr::lint {
 namespace {
 
-// "unknown protocol 'basline'; did you mean 'baseline'?" -- shared with the
-// CLIs through resolve_protocols().
+// "unknown protocol 'basline'; did you mean 'baseline'?" -- what
+// resolve_protocol_entry() throws.
 [[noreturn]] void throw_unknown_protocol(const std::string& name) {
   const std::vector<std::string> names = registry_names(/*include_hidden=*/true);
   std::vector<std::string_view> views(names.begin(), names.end());
@@ -57,19 +57,22 @@ lint_report run_lint(const lint_options& options) {
   for (const protocol_entry* entry : entries) {
     report.protocols.push_back(entry->name);
     for (const std::uint32_t n : options.n_values) {
-      lint_context ctx(entry->name, n, &report.findings,
-                       options.cap_per_code);
+      lint_context ctx(entry->name, n, &report.findings);
       entry->run(n, ctx);
       // Exact configuration-space pass (L014-L017), for entries with a
-      // model attachment.  A closure escape means the configuration graph
-      // cannot be built, and the builder itself throws on one the
-      // state-level checks did not see.
-      if (ctx.count(finding_code::closure_escape) == 0) {
-        try {
-          if (const std::optional<model_run> run = run_entry_model(*entry, n)) {
-            emit_model_findings(*run, ctx);
-          }
-        } catch (const std::logic_error& e) {
+      // model attachment.  The builder throws on a transition that leaves
+      // the inventory; that is one more closure escape unless the
+      // state-level checks already reported one.
+      model_skip skip;
+      try {
+        if (std::optional<model_run> run = run_entry_model(*entry, n, &skip)) {
+          emit_model_findings(*run, ctx);
+          report.runs.push_back(std::move(*run));
+        } else {
+          report.skipped.push_back(std::move(skip));
+        }
+      } catch (const std::logic_error& e) {
+        if (ctx.count(finding_code::closure_escape) == 0) {
           ctx.emit(finding_code::closure_escape, severity::error, e.what());
         }
       }
@@ -88,7 +91,7 @@ lint_report run_lint(const lint_options& options) {
 obs::json_value to_json(const lint_report& report, bool strict) {
   obs::json_value root = obs::json_value::object();
   root["schema"] = "ssr.lint";
-  root["version"] = std::uint64_t{1};
+  root["version"] = std::uint64_t{2};
   root["tool"] = "protocol_lint";
   root["strict"] = strict;
   obs::json_value protocols = obs::json_value::array();
@@ -110,6 +113,18 @@ obs::json_value to_json(const lint_report& report, bool strict) {
       static_cast<std::uint64_t>(report.violations(strict));
   summary["passed"] = report.passed(strict);
   root["summary"] = std::move(summary);
+  obs::json_value runs = obs::json_value::array();
+  for (const model_run& run : report.runs) runs.push_back(to_json(run));
+  root["runs"] = std::move(runs);
+  obs::json_value skipped = obs::json_value::array();
+  for (const model_skip& s : report.skipped) {
+    obs::json_value v = obs::json_value::object();
+    v["protocol"] = s.protocol;
+    v["n"] = static_cast<std::uint64_t>(s.n);
+    v["reason"] = s.reason;
+    skipped.push_back(std::move(v));
+  }
+  root["skipped"] = std::move(skipped);
   return root;
 }
 
@@ -131,6 +146,27 @@ std::string render_report(const lint_report& report, bool strict) {
                    std::to_string(notes), failed ? "FAIL" : "ok"});
   }
   table.print(os);
+  if (!report.runs.empty()) {
+    os << '\n';
+    text_table model({"protocol", "n", "configs", "transitions", "terminal",
+                      "silent", "stabilizing", "worst E[T]", "uniform E[T]"});
+    for (const model_run& run : report.runs) {
+      const verify::model_check_result& r = run.result;
+      const bool timed = r.expected_time_computed;
+      model.add_row(
+          {run.protocol, std::to_string(run.n),
+           std::to_string(r.configurations), std::to_string(r.transitions),
+           std::to_string(r.terminal_classes), r.silent ? "yes" : "NO",
+           r.self_stabilizing ? "yes" : "NO",
+           timed ? format_fixed(r.worst_expected_interactions, 3) : "-",
+           timed ? format_fixed(r.uniform_expected_interactions, 3) : "-"});
+    }
+    model.print(os);
+  }
+  for (const model_skip& s : report.skipped) {
+    os << "skipped " << s.protocol << " n=" << s.n << ": " << s.reason
+       << '\n';
+  }
   if (!report.findings.empty()) {
     os << '\n';
     for (const finding& f : report.findings) os << to_line(f) << '\n';

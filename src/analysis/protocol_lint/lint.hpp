@@ -1,6 +1,7 @@
-// Linter orchestration: runs the registered check compositions over a
-// protocol/population grid and aggregates findings into a report the CLI
-// renders as a table or JSON (docs/static_analysis.md).
+// Linter orchestration: runs the registered check compositions and the
+// exact model pass over a protocol/population grid, and aggregates the
+// findings and model runs into the report protocol_lint renders as tables
+// or as the ssr.lint JSON document (docs/static_analysis.md).
 #pragma once
 
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "analysis/protocol_lint/finding.hpp"
+#include "analysis/protocol_lint/model_check.hpp"
 #include "analysis/protocol_lint/registry.hpp"
 #include "obs/json.hpp"
 
@@ -22,8 +24,6 @@ struct lint_options {
   /// Also lint the hidden broken fixtures when no explicit protocol list is
   /// given.
   bool include_hidden = false;
-  /// Findings recorded per code per (protocol, n) before suppression.
-  std::size_t cap_per_code = 8;
 };
 
 struct lint_report {
@@ -31,6 +31,10 @@ struct lint_report {
   /// What was linted, in run order.
   std::vector<std::string> protocols;
   std::vector<std::uint32_t> n_values;
+  /// The exact model pass, in run order: one run per (entry, n) it covers
+  /// and one skip, with its reason, per (entry, n) it does not.
+  std::vector<model_run> runs;
+  std::vector<model_skip> skipped;
   std::size_t errors = 0;
   std::size_t warnings = 0;
   std::size_t notes = 0;
@@ -50,14 +54,16 @@ lint_report run_lint(const lint_options& options);
 
 /// Registry lookup that throws std::invalid_argument with a nearest-name
 /// suggestion on unknown names ("unknown protocol 'basline'; did you mean
-/// 'baseline'?") -- shared by protocol_lint and ssr_modelcheck.
+/// 'baseline'?") -- shared by run_lint and bench_modelcheck.
 const protocol_entry& resolve_protocol_entry(const std::string& name);
 
-/// Machine-readable findings: {tool, strict, protocols, n, findings[],
-/// summary{errors,warnings,notes,violations,passed}}.
+/// The ssr.lint v2 document: {schema, version, tool, strict, protocols, n,
+/// findings[], summary{errors,warnings,notes,violations,passed}, runs[],
+/// skipped[]}.
 obs::json_value to_json(const lint_report& report, bool strict);
 
-/// Per-(protocol, n) verdict table plus one line per finding.
+/// Per-protocol verdict table, the model table with its skip reasons, one
+/// line per finding, and the PASS/FAIL summary.
 std::string render_report(const lint_report& report, bool strict);
 
 }  // namespace ssr::lint

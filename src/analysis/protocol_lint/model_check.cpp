@@ -106,94 +106,48 @@ void emit_model_findings(const model_run& run, lint_context& ctx) {
   }
 }
 
-obs::json_value modelcheck_to_json(const std::vector<model_run>& runs,
-                                   const std::vector<model_skip>& skipped,
-                                   const std::vector<finding>& findings,
-                                   bool strict) {
-  obs::json_value root = obs::json_value::object();
-  root["schema"] = "ssr.modelcheck";
-  root["version"] = std::uint64_t{1};
-  root["strict"] = strict;
-
-  obs::json_value runs_json = obs::json_value::array();
-  for (const model_run& run : runs) {
-    const verify::model_check_result& r = run.result;
-    obs::json_value v = obs::json_value::object();
-    v["protocol"] = run.protocol;
-    v["n"] = static_cast<std::uint64_t>(run.n);
-    v["configurations"] = static_cast<std::uint64_t>(r.configurations);
-    v["transitions"] = static_cast<std::uint64_t>(r.transitions);
-    v["scc_count"] = static_cast<std::uint64_t>(r.scc_count);
-    v["terminal_classes"] = static_cast<std::uint64_t>(r.terminal_classes);
-    v["largest_scc"] = static_cast<std::uint64_t>(r.largest_scc);
-    obs::json_value claims = obs::json_value::object();
-    claims["silent"] = run.claims.silent;
-    claims["self_stabilizing"] = run.claims.self_stabilizing;
-    v["claims"] = std::move(claims);
-    v["silent"] = r.silent;
-    v["self_stabilizing"] = r.self_stabilizing;
-    obs::json_value spurious = obs::json_value::array();
-    for (const std::size_t w : r.spurious_terminal_witnesses) {
-      spurious.push_back(run.graph.config_name(w));
-    }
-    v["spurious_terminal_classes"] = std::move(spurious);
-    obs::json_value expected = obs::json_value::object();
-    expected["computed"] = r.expected_time_computed;
-    if (r.expected_time_computed) {
-      expected["worst_interactions"] = r.worst_expected_interactions;
-      expected["worst_config"] = run.graph.config_name(r.worst_config);
-      expected["uniform_interactions"] = r.uniform_expected_interactions;
-      expected["solve_residual"] = r.solve_residual;
-    }
-    if (run.has_budget) expected["budget_interactions"] = run.budget;
-    v["expected"] = std::move(expected);
-    obs::json_value counterexamples = obs::json_value::object();
-    if (r.silence_counterexample.has_value()) {
-      counterexamples["silence"] =
-          describe_counterexample(run.graph, *r.silence_counterexample);
-    }
-    if (r.stabilization_counterexample.has_value()) {
-      counterexamples["stabilization"] = describe_counterexample(
-          run.graph, *r.stabilization_counterexample);
-    }
-    v["counterexamples"] = std::move(counterexamples);
-    runs_json.push_back(std::move(v));
+obs::json_value to_json(const model_run& run) {
+  const verify::model_check_result& r = run.result;
+  obs::json_value v = obs::json_value::object();
+  v["protocol"] = run.protocol;
+  v["n"] = static_cast<std::uint64_t>(run.n);
+  v["configurations"] = static_cast<std::uint64_t>(r.configurations);
+  v["transitions"] = static_cast<std::uint64_t>(r.transitions);
+  v["scc_count"] = static_cast<std::uint64_t>(r.scc_count);
+  v["terminal_classes"] = static_cast<std::uint64_t>(r.terminal_classes);
+  v["largest_scc"] = static_cast<std::uint64_t>(r.largest_scc);
+  obs::json_value claims = obs::json_value::object();
+  claims["silent"] = run.claims.silent;
+  claims["self_stabilizing"] = run.claims.self_stabilizing;
+  v["claims"] = std::move(claims);
+  v["silent"] = r.silent;
+  v["self_stabilizing"] = r.self_stabilizing;
+  obs::json_value spurious = obs::json_value::array();
+  for (const std::size_t w : r.spurious_terminal_witnesses) {
+    spurious.push_back(run.graph.config_name(w));
   }
-  root["runs"] = std::move(runs_json);
-
-  obs::json_value skipped_json = obs::json_value::array();
-  for (const model_skip& s : skipped) {
-    obs::json_value v = obs::json_value::object();
-    v["protocol"] = s.protocol;
-    v["n"] = static_cast<std::uint64_t>(s.n);
-    v["reason"] = s.reason;
-    skipped_json.push_back(std::move(v));
+  v["spurious_terminal_classes"] = std::move(spurious);
+  obs::json_value expected = obs::json_value::object();
+  expected["computed"] = r.expected_time_computed;
+  if (r.expected_time_computed) {
+    expected["worst_interactions"] = r.worst_expected_interactions;
+    expected["worst_config"] = run.graph.config_name(r.worst_config);
+    expected["uniform_interactions"] = r.uniform_expected_interactions;
+    expected["solve_residual"] = r.solve_residual;
   }
-  root["skipped"] = std::move(skipped_json);
-
-  obs::json_value findings_json = obs::json_value::array();
-  std::size_t errors = 0, warnings = 0, notes = 0;
-  for (const finding& f : findings) {
-    findings_json.push_back(to_json(f));
-    switch (f.sev) {
-      case severity::error: ++errors; break;
-      case severity::warning: ++warnings; break;
-      case severity::note: ++notes; break;
-    }
+  if (run.has_budget) expected["budget_interactions"] = run.budget;
+  v["expected"] = std::move(expected);
+  obs::json_value counterexamples = obs::json_value::object();
+  if (r.silence_counterexample.has_value()) {
+    counterexamples["silence"] =
+        describe_counterexample(run.graph, *r.silence_counterexample);
   }
-  root["findings"] = std::move(findings_json);
-
-  obs::json_value summary = obs::json_value::object();
-  summary["runs"] = static_cast<std::uint64_t>(runs.size());
-  summary["skipped"] = static_cast<std::uint64_t>(skipped.size());
-  summary["errors"] = static_cast<std::uint64_t>(errors);
-  summary["warnings"] = static_cast<std::uint64_t>(warnings);
-  summary["notes"] = static_cast<std::uint64_t>(notes);
-  const std::size_t violations = errors + (strict ? warnings : 0);
-  summary["violations"] = static_cast<std::uint64_t>(violations);
-  summary["passed"] = violations == 0;
-  root["summary"] = std::move(summary);
-  return root;
+  if (r.stabilization_counterexample.has_value()) {
+    counterexamples["stabilization"] = describe_counterexample(
+        run.graph, *r.stabilization_counterexample);
+  }
+  v["counterexamples"] = std::move(counterexamples);
+  return v;
 }
 
 }  // namespace ssr::lint

@@ -1,5 +1,4 @@
-// The exact-model-checking pass of the protocol linter, and the
-// ssr.modelcheck document the ssr_modelcheck CLI emits.
+// The exact-model-checking pass of the protocol linter.
 //
 // Registry entries with a model_attachment expose their configuration
 // graph (verify/model_check); run_entry_model() builds and checks it, and
@@ -17,15 +16,15 @@
 //                                 only as an initial condition (note, the
 //                                 configuration-level analogue of L011)
 //
-// run_lint() invokes the pass after each entry's check composition;
-// the CLI and bench_modelcheck reuse the same two functions so the three
-// surfaces cannot drift.
+// run_lint() invokes the pass after each entry's check composition and
+// keeps every run for protocol_lint's model table and ssr.lint document;
+// bench_modelcheck reuses the same two functions, so the two surfaces
+// cannot drift.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "analysis/protocol_lint/finding.hpp"
 #include "analysis/protocol_lint/registry.hpp"
@@ -70,13 +69,9 @@ std::string describe_counterexample(const verify::config_graph& graph,
                                     const verify::counterexample& cx,
                                     std::size_t max_steps = 4);
 
-/// The ssr.modelcheck v1 document: {schema, version, strict, runs[],
-/// skipped[], findings[], summary{runs, errors, warnings, notes,
-/// violations, passed}}.  Violation semantics match the linter: errors
-/// always gate, warnings only under strict, notes never.
-obs::json_value modelcheck_to_json(const std::vector<model_run>& runs,
-                                   const std::vector<model_skip>& skipped,
-                                   const std::vector<finding>& findings,
-                                   bool strict);
+/// One run as a JSON object: {protocol, n, configurations, transitions,
+/// scc_count, terminal_classes, largest_scc, claims, silent,
+/// self_stabilizing, spurious_terminal_classes, expected, counterexamples}.
+obs::json_value to_json(const model_run& run);
 
 }  // namespace ssr::lint

@@ -33,8 +33,8 @@ struct protocol_claims {
 
 /// Exact model-checking attachment (verify/model_check): entries with an
 /// enumerable inventory and deterministic transitions expose a builder for
-/// their configuration graph, and the model pass (L014-L017, the
-/// ssr_modelcheck CLI, bench_modelcheck) runs on it for n <= max_n.
+/// their configuration graph, and the model pass (L014-L017 and the model
+/// table of protocol_lint, bench_modelcheck) runs on it for n <= max_n.
 struct model_attachment {
   /// Builds the weighted configuration digraph at population size n.
   /// Throws std::logic_error when a transition escapes the inventory.

@@ -31,7 +31,7 @@
 // fingerprint; compare_against_baseline() rebuilds report rows from both
 // sides and routes them through the shared regression gate
 // (obs/report_compare.hpp) -- the same KS + direction + tolerance logic
-// report_diff and report_trend apply -- so `ssr_cli compare` can never
+// report_trend applies -- so `ssr_cli compare` can never
 // disagree with the bench CI gates about what counts as a regression.
 #pragma once
 

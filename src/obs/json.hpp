@@ -1,7 +1,7 @@
 // Minimal JSON document model for the observability layer.
 //
 // The bench reports (obs/report.hpp), trace sinks (obs/trace.hpp) and
-// report_diff all need a machine-readable interchange format, and the
+// report_trend all need a machine-readable interchange format, and the
 // container bakes in no JSON library -- so this is a small, dependency-free
 // writer/parser pair covering exactly RFC 8259: null/bool/number/string
 // with full escaping (including \uXXXX and surrogate pairs), arrays, and

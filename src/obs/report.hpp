@@ -20,7 +20,7 @@
 //   }
 //
 // A *sample row* carries the raw per-trial measurements plus derived stats
-// (so report_diff can re-test distributions, not just compare means):
+// (so report_trend can re-test distributions, not just compare means):
 //
 //   { "kind": "samples", "section": "stabilization", "protocol":
 //     "optimal_silent", "n": 1024, "params": "scenario=uniform_random",
@@ -35,7 +35,7 @@
 // quantile sketch (obs/quantile_sketch.hpp) instead of retained samples,
 // so unbounded-trial runs stay bounded-size.  Version-1 documents (no
 // "count" in stats, "samples" always present) remain readable: from_json
-// and validate_report_json accept both, and report_diff falls back from
+// and validate_report_json accept both, and report_trend falls back from
 // the KS gate to a confidence-interval gate when either side is
 // stats-only.
 //
@@ -47,7 +47,7 @@
 //     "direction": "higher_is_better" }
 //
 // Rows are identified across reports by (section, protocol, n, params) --
-// report_diff joins on that tuple.
+// report_trend joins on that tuple.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +97,7 @@ struct report_row {
   std::string metric;
   double value = 0.0;
 
-  /// Join key used by report_diff to match rows across reports.
+  /// Join key used by report_trend to match rows across reports.
   std::string key() const;
 
   /// Best available central estimate: stats->mean, else mean of samples,

@@ -1,5 +1,5 @@
-// The regression gate shared by report_diff (two reports) and
-// report_trend (a history of reports).
+// The regression gate shared by report_trend (a pair or a history of
+// reports) and `ssr_cli compare` (a run bundle against its baseline).
 //
 // A matched pair of rows is flagged as a regression only when the change
 // is both *significant* and *material*:

@@ -236,19 +236,15 @@ TEST(ModelCheckLint, SkipReasonsNameTheCause) {
 }
 
 TEST(ModelCheckLint, JsonDocumentCarriesSchemaAndSummary) {
-  const lint::protocol_entry& entry = lint::resolve_protocol_entry("baseline");
-  std::vector<lint::finding> findings;
-  lint::lint_context ctx(entry.name, 3, &findings);
-  std::optional<lint::model_run> run = lint::run_entry_model(entry, 3);
-  ASSERT_TRUE(run.has_value());
-  lint::emit_model_findings(*run, ctx);
-
-  std::vector<lint::model_run> runs;
-  runs.push_back(std::move(*run));
-  const std::string doc =
-      lint::modelcheck_to_json(runs, {}, findings, /*strict=*/true).dump(2);
-  EXPECT_NE(doc.find("\"schema\": \"ssr.modelcheck\""), std::string::npos);
-  EXPECT_NE(doc.find("\"version\": 1"), std::string::npos);
+  lint::lint_options options;
+  options.protocols = {"baseline"};
+  options.n_values = {3};
+  const lint::lint_report report = lint::run_lint(options);
+  ASSERT_EQ(report.runs.size(), 1u);
+  const std::string doc = lint::to_json(report, /*strict=*/true).dump(2);
+  EXPECT_NE(doc.find("\"schema\": \"ssr.lint\""), std::string::npos);
+  EXPECT_NE(doc.find("\"version\": 2"), std::string::npos);
+  EXPECT_NE(doc.find("\"runs\""), std::string::npos);
   EXPECT_NE(doc.find("\"worst_interactions\""), std::string::npos);
   EXPECT_NE(doc.find("\"passed\": true"), std::string::npos);
 }

@@ -48,7 +48,7 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-// The serialized schema is a contract consumed by report_diff and external
+// The serialized schema is a contract consumed by report_trend and external
 // scripts; any change must be deliberate.  Regenerate the golden file with
 //   SSR_UPDATE_GOLDEN=1 ./ssr_tests --gtest_filter=ObsReport.GoldenFile
 // and review the diff.

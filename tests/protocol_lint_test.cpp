@@ -218,7 +218,7 @@ TEST(ProtocolLintReport, JsonSummaryMatchesCounts) {
   const obs::json_value doc = to_json(report, /*strict=*/true);
   const std::string text = doc.dump(2);
   EXPECT_NE(text.find("\"schema\": \"ssr.lint\""), std::string::npos);
-  EXPECT_NE(text.find("\"version\": 1"), std::string::npos);
+  EXPECT_NE(text.find("\"version\": 2"), std::string::npos);
   EXPECT_NE(text.find("\"tool\""), std::string::npos);
   EXPECT_NE(text.find("protocol_lint"), std::string::npos);
   EXPECT_NE(text.find("closure-escape"), std::string::npos);

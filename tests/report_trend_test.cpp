@@ -1,6 +1,6 @@
 // The cross-revision trend pipeline rests on two pieces tested here: the
-// shared regression gate (obs/report_compare.hpp) that report_diff and
-// report_trend both apply, and the v2 report schema that lets history
+// shared regression gate (obs/report_compare.hpp) that report_trend and
+// `ssr_cli compare` both apply, and the v2 report schema that lets history
 // entries carry sketch-backed stats instead of retained samples.
 #include "obs/report_compare.hpp"
 

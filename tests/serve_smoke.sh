@@ -7,7 +7,7 @@
 # journal, metrics.prom snapshot), validate the emitted BENCH_SERVE.json,
 # and shut down cleanly.
 #
-#   serve_smoke.sh <ssr_serve> <ssr_client> <report_diff> [trace_stats]
+#   serve_smoke.sh <ssr_serve> <ssr_client> <report_trend> [trace_stats]
 #
 # Run by ctest (serve_e2e) and by the CI serve leg; exits non-zero on the
 # first failed step.  SERVE_SMOKE_OUT_DIR / SERVE_SMOKE_HISTORY_DIR, when
@@ -21,7 +21,7 @@ set -eu
 
 SERVE=$1
 CLIENT=$2
-REPORT_DIFF=$3
+REPORT_TREND=$3
 TRACE_STATS=${4:-}
 
 WORK=$(mktemp -d serve_smoke.XXXXXX)
@@ -145,7 +145,7 @@ else
     --protocol=optimal --n=256 --trials=2 --seed=7 --overhead-probe=3 \
     --out-dir="$OUT_DIR"
 fi
-"$REPORT_DIFF" --validate "$OUT_DIR/BENCH_SERVE.json"
+"$REPORT_TREND" --validate "$OUT_DIR/BENCH_SERVE.json"
 grep -q '"telemetry_overhead"' "$OUT_DIR/BENCH_SERVE.json"
 
 echo "== stats: the cache must have served hits by now"

@@ -1,23 +1,31 @@
-// protocol_lint -- static model checker for the registered protocols.
+// protocol_lint -- static and exact model checker for the registered
+// protocols.
 //
 // Enumerates each protocol's declared state space at small n and verifies
 // the structural invariants behind the paper's claims: transition closure,
 // determinism/totality, the change-flag contract, rank-output soundness,
 // Table-1 state counts, the batched-engine partition, silence and
 // self-stabilization via the exhaustive configuration-space verifier, and a
-// dead-state audit.  See docs/static_analysis.md for the finding codes.
+// dead-state audit.  Entries with a model attachment also get the exact
+// model pass (verify/model_check): every configuration (state multisets --
+// agents are anonymous), silence, self-stabilization and the exact expected
+// number of interactions to stable correctness, as codes L014-L017 and a
+// model table.  See docs/static_analysis.md for the finding codes.
 //
 //   protocol_lint                        lint every registered protocol
 //   protocol_lint --strict               promote warnings to violations
 //   protocol_lint --protocol=optimal     lint one protocol (repeatable)
 //   protocol_lint --n=2,3,4              population sizes (default 2,3,4)
-//   protocol_lint --json=findings.json   also write machine-readable findings
+//   protocol_lint --json=findings.json   also write the ssr.lint document
+//   protocol_lint --trace-dir=<dir>      write counterexample JSONL traces
 //   protocol_lint --list                 list registry entries and exit
 //   protocol_lint --include-broken       also lint the hidden broken fixtures
 //
 // Exit code: 0 when no violations (errors; plus warnings under --strict),
 // 1 on violations, 2 on usage errors.
+#include <charconv>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -25,11 +33,13 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "analysis/protocol_lint/lint.hpp"
 #include "analysis/protocol_lint/registry.hpp"
 #include "util/edit_distance.hpp"
+#include "util/flag_shape.hpp"
 
 namespace {
 
@@ -40,12 +50,15 @@ struct options {
   bool strict = false;
   bool list = false;
   std::string json_path;
+  std::string trace_dir;
 };
 
 constexpr std::string_view cli_flags[] = {
     "--protocol", "--n",    "--strict",         "--json",
-    "--list",     "--help", "--include-broken",
+    "--list",     "--help", "--include-broken", "--trace-dir",
 };
+constexpr std::string_view switches[] = {"--strict", "--list", "--help",
+                                         "--include-broken"};
 
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
@@ -57,7 +70,10 @@ constexpr std::string_view cli_flags[] = {
          "(default 2,3,4)\n"
       << "  --strict            promote warnings to violations (notes are\n"
       << "                      never promoted)\n"
-      << "  --json=<file>       write findings as JSON ('-' for stdout)\n"
+      << "  --json=<file>       write the ssr.lint document ('-' for "
+         "stdout)\n"
+      << "  --trace-dir=<dir>   write shortest counterexamples as ssr.trace "
+         "JSONL\n"
       << "  --include-broken    also lint the hidden broken fixtures\n"
       << "  --list              list registry entries and exit\n";
   std::exit(2);
@@ -68,16 +84,24 @@ std::vector<std::uint32_t> parse_sizes(const std::string& value) {
   std::istringstream in(value);
   std::string item;
   while (std::getline(in, item, ',')) {
-    try {
-      const unsigned long n = std::stoul(item);
-      if (n < 2 || n > 64) usage("--n values must be in 2..64, got " + item);
-      sizes.push_back(static_cast<std::uint32_t>(n));
-    } catch (const std::logic_error&) {
-      usage("cannot parse --n value '" + item + "'");
+    std::uint32_t n = 0;
+    const char* last = item.data() + item.size();
+    const auto [end, ec] = std::from_chars(item.data(), last, n);
+    if (ec != std::errc{} || end != last) {
+      usage("--n expects comma-separated integers, got '" + item + "'");
     }
+    if (n < 2 || n > 64) usage("--n values must be in 2..64, got " + item);
+    sizes.push_back(n);
   }
   if (sizes.empty()) usage("--n needs at least one population size");
   return sizes;
+}
+
+std::string nonempty(const char* flag, const std::string& value) {
+  if (value.empty()) {
+    usage(std::string(flag) + " needs a value (" + flag + "=...)");
+  }
+  return value;
 }
 
 options parse(int argc, char** argv) {
@@ -111,9 +135,15 @@ options parse(int argc, char** argv) {
       continue;
     }
     if (auto v = value_of("--json")) {
-      opt.json_path = *v;
+      opt.json_path = nonempty("--json", *v);
       continue;
     }
+    if (auto v = value_of("--trace-dir")) {
+      opt.trace_dir = nonempty("--trace-dir", *v);
+      continue;
+    }
+    const std::string shape = flag_shape_error(arg, cli_flags, switches);
+    if (!shape.empty()) usage(shape);
     const std::string name = arg.substr(0, arg.find('='));
     std::string message = "unknown argument '" + name + "'";
     const std::string_view suggestion = nearest_candidate(name, cli_flags);
@@ -127,10 +157,25 @@ options parse(int argc, char** argv) {
 [[noreturn]] void list_registry(bool include_hidden) {
   for (const lint::protocol_entry& e : lint::lint_registry()) {
     if (e.hidden && !include_hidden) continue;
-    std::cout << e.name << (e.hidden ? "  [hidden fixture]" : "") << "\n    "
-              << e.summary << '\n';
+    std::cout << e.name;
+    if (e.hidden) std::cout << "  [hidden fixture]";
+    if (e.model.has_value()) {
+      std::cout << "  [model max_n=" << e.model->max_n << ']';
+    }
+    std::cout << "\n    " << e.summary << '\n';
   }
   std::exit(0);
+}
+
+void write_trace(const std::filesystem::path& dir, const lint::model_run& run,
+                 std::string_view kind, const verify::counterexample& cx) {
+  const std::filesystem::path path =
+      dir / (run.protocol + "-n" + std::to_string(run.n) + "-" +
+             std::string(kind) + ".trace.jsonl");
+  std::ofstream out(path);
+  if (!out) usage("cannot write " + path.string());
+  verify::write_counterexample_jsonl(out, run.graph, cx);
+  std::cout << "counterexample trace: " << path.string() << '\n';
 }
 
 }  // namespace
@@ -139,11 +184,30 @@ int main(int argc, char** argv) {
   const options opt = parse(argc, argv);
   if (opt.list) list_registry(opt.lint.include_hidden);
 
+  if (!opt.trace_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(opt.trace_dir, ec);
+    if (ec) usage("cannot create " + opt.trace_dir + ": " + ec.message());
+  }
+
   lint::lint_report report;
   try {
     report = lint::run_lint(opt.lint);
   } catch (const std::invalid_argument& e) {
     usage(e.what());
+  }
+
+  if (!opt.trace_dir.empty()) {
+    for (const lint::model_run& run : report.runs) {
+      const verify::model_check_result& r = run.result;
+      if (r.silence_counterexample.has_value()) {
+        write_trace(opt.trace_dir, run, "silence", *r.silence_counterexample);
+      }
+      if (r.stabilization_counterexample.has_value()) {
+        write_trace(opt.trace_dir, run, "stabilization",
+                    *r.stabilization_counterexample);
+      }
+    }
   }
 
   if (!opt.json_path.empty()) {

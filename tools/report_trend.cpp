@@ -1,21 +1,26 @@
-// report_trend: cross-revision drift detection over a bench history.
+// report_trend: schema validation and drift detection for bench reports.
 //
+//   report_trend --validate REPORT.json...
 //   report_trend HISTORY_DIR
 //   report_trend REPORT.json REPORT.json...   (chronological order)
+//
+// --validate checks each file against the report schema (obs/report.hpp;
+// versions 1 and 2 are accepted): exit 0 when all are valid, 2 otherwise.
 //
 // HISTORY_DIR is the layout bench binaries write with --history-dir: one
 // subdirectory per git revision, each holding that revision's
 // BENCH_<id>.json artifacts.  Revisions are ordered by their reports'
 // generated_unix stamps (the directory names are hashes and carry no
-// order).
+// order).  Explicitly listed reports are judged in the order given, so
+// `report_trend BASE.json NEW.json` compares a pair.
 //
 // Rows are joined across revisions on the report_row key (section,
 // protocol, n, params[, metric]).  A key with at least two points is
 // judged by the shared regression gate (obs/report_compare.hpp) between
-// its oldest and newest points -- the same KS + direction + tolerance
-// logic report_diff applies to a single pair, so the CI trend gate and a
-// local diff can never disagree.  Identical-seed reruns produce identical
-// samples (KS p = 1) and pass clean by construction.
+// its oldest and newest points: KS + direction for sample rows, CI overlap
+// for v2 stats-only rows, a generous tolerance for value rows.
+// Identical-seed reruns produce identical samples (KS p = 1) and pass
+// clean by construction.
 //
 //   --markdown      emit a GitHub-flavored markdown table (for CI job
 //                   summaries) instead of the ASCII table
@@ -41,6 +46,7 @@
 #include "obs/report.hpp"
 #include "obs/report_compare.hpp"
 #include "util/edit_distance.hpp"
+#include "util/flag_shape.hpp"
 
 namespace {
 
@@ -50,18 +56,21 @@ using ssr::obs::json_value;
 using ssr::obs::report_row;
 using ssr::obs::row_verdict;
 
-constexpr std::array<std::string_view, 3> trend_flags = {"--markdown",
-                                                         "--out", "--help"};
+constexpr std::array<std::string_view, 4> trend_flags = {
+    "--markdown", "--out", "--validate", "--help"};
+constexpr std::array<std::string_view, 3> switches = {"--markdown",
+                                                      "--validate", "--help"};
 
 int usage() {
-  std::cerr << "usage: report_trend [--markdown] [--out=FILE] HISTORY_DIR\n"
+  std::cerr << "usage: report_trend --validate REPORT.json...\n"
+               "       report_trend [--markdown] [--out=FILE] HISTORY_DIR\n"
                "       report_trend [--markdown] [--out=FILE] REPORT.json"
                " REPORT.json...\n";
   return 2;
 }
 
-std::optional<bench_report> load_report(const std::string& path,
-                                        std::string* why) {
+std::optional<json_value> load_json(const std::string& path,
+                                    std::string* why) {
   std::ifstream is(path);
   if (!is) {
     *why = "cannot open file";
@@ -69,12 +78,14 @@ std::optional<bench_report> load_report(const std::string& path,
   }
   std::ostringstream buffer;
   buffer << is.rdbuf();
+  return json_value::parse(buffer.str(), why);
+}
+
+std::optional<bench_report> load_report(const std::string& path,
+                                        std::string* why) {
+  const auto json = load_json(path, why);
+  if (!json) return std::nullopt;
   std::string error;
-  const auto json = json_value::parse(buffer.str(), &error);
-  if (!json) {
-    *why = error;
-    return std::nullopt;
-  }
   auto report = bench_report::from_json(*json, &error);
   if (!report) {
     *why = error;
@@ -86,7 +97,7 @@ std::optional<bench_report> load_report(const std::string& path,
 /// One revision = one set of reports measured from the same tree.
 struct revision {
   std::string label;
-  std::int64_t generated_unix = 0;  // min over reports, for ordering
+  std::int64_t generated_unix = 0;  // min over reports, orders a history
   std::vector<bench_report> reports;
 };
 
@@ -132,7 +143,38 @@ bool load_history_dir(const std::string& dir, std::vector<revision>* out) {
               << "\n";
     return false;
   }
+  std::stable_sort(out->begin(), out->end(),
+                   [](const revision& a, const revision& b) {
+                     return a.generated_unix < b.generated_unix;
+                   });
   return true;
+}
+
+int validate(const std::vector<std::string>& paths) {
+  bool all_valid = true;
+  for (const std::string& path : paths) {
+    std::string why;
+    const auto json = load_json(path, &why);
+    if (!json) {
+      std::cerr << "error: " << path << ": " << why << "\n";
+      all_valid = false;
+      continue;
+    }
+    const std::vector<std::string> problems =
+        ssr::obs::validate_report_json(*json);
+    if (problems.empty()) {
+      const json_value* version = json->find("schema_version");
+      std::cout << path << ": valid (schema_version "
+                << ssr::obs::format_schema_version(
+                       version != nullptr ? version->as_double() : 0.0)
+                << ")\n";
+    } else {
+      all_valid = false;
+      std::cout << path << ": INVALID\n";
+      for (const std::string& p : problems) std::cout << "  - " << p << "\n";
+    }
+  }
+  return all_valid ? 0 : 2;
 }
 
 struct trend_point {
@@ -157,6 +199,7 @@ std::string format_mean(double mean) {
 
 int main(int argc, char** argv) {
   bool markdown = false;
+  bool validate_only = false;
   std::string out_path;
   std::vector<std::string> inputs;
   for (int i = 1; i < argc; ++i) {
@@ -164,9 +207,17 @@ int main(int argc, char** argv) {
     if (arg == "--help") return usage(), 0;
     if (arg == "--markdown") {
       markdown = true;
+    } else if (arg == "--validate") {
+      validate_only = true;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--", 0) == 0) {
+      const std::string shape =
+          ssr::flag_shape_error(arg, trend_flags, switches);
+      if (!shape.empty()) {
+        std::cerr << "error: " << shape << "\n";
+        return usage();
+      }
       const std::string flag = arg.substr(0, arg.find('='));
       std::cerr << "error: unknown option '" << flag << "'";
       const std::string_view suggestion =
@@ -181,6 +232,13 @@ int main(int argc, char** argv) {
     }
   }
   if (inputs.empty()) return usage();
+  if (validate_only) {
+    if (markdown || !out_path.empty()) {
+      std::cerr << "error: --validate takes neither --markdown nor --out\n";
+      return usage();
+    }
+    return validate(inputs);
+  }
 
   std::vector<revision> revisions;
   if (inputs.size() == 1 && fs::is_directory(inputs.front())) {
@@ -195,7 +253,6 @@ int main(int argc, char** argv) {
       }
       revision rev;
       rev.label = short_rev(report->git_rev);
-      rev.generated_unix = report->generated_unix;
       rev.reports.push_back(std::move(*report));
       revisions.push_back(std::move(rev));
     }
@@ -205,10 +262,6 @@ int main(int argc, char** argv) {
               << revisions.size() << "\n";
     return 2;
   }
-  std::stable_sort(revisions.begin(), revisions.end(),
-                   [](const revision& a, const revision& b) {
-                     return a.generated_unix < b.generated_unix;
-                   });
 
   // Join rows across revisions on key, preserving first-seen order.
   std::vector<trend_line> lines;

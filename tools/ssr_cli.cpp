@@ -59,7 +59,6 @@
 #include <sstream>
 #include <string>
 
-#include "analysis/protocol_lint/lint.hpp"
 #include "analysis/trace_stats.hpp"
 #include "obs/bundle.hpp"
 #include "obs/engine_counters.hpp"
@@ -81,6 +80,7 @@
 #include "serve/runner.hpp"
 #include "serve/trial_recipe.hpp"
 #include "util/edit_distance.hpp"
+#include "util/flag_shape.hpp"
 #include "util/request_spec.hpp"
 
 namespace {
@@ -102,7 +102,6 @@ struct options {
   std::uint64_t trace_sample_every = 1;  // keep every k-th phase transition
   std::size_t trace_cap = 1u << 20;      // trace event buffer cap
   bool progress = false;   // heartbeat on stderr for long runs
-  bool lint = false;       // run the protocol linter before simulating
   bool profile = false;    // hierarchical section profiling (wall + perf)
   std::string profile_out;     // folded-stack output path (implies profile)
   std::string profile_chrome;  // chrome trace output path (implies profile)
@@ -121,7 +120,11 @@ constexpr std::string_view cli_flags[] = {
     "--dump",           "--load",        "--json",
     "--trace-out",      "--trace-sample-every",
     "--trace-cap",      "--progress",    "--profile",
-    "--profile-out",    "--profile-chrome", "--lint",
+    "--profile-out",    "--profile-chrome",
+    "--list-protocols", "--list-scenarios", "--help",
+};
+constexpr std::string_view switches[] = {
+    "--show-agents",    "--progress",       "--profile",
     "--list-protocols", "--list-scenarios", "--help",
 };
 
@@ -178,9 +181,6 @@ constexpr std::uint32_t max_gnp_n = 4096;
       "  --progress             print a heartbeat line to stderr every few\n"
       "                         seconds (parallel time, interactions/s, ETA;\n"
       "                         cuts the run like --trace-every)\n"
-      "  --lint                 run the protocol model linter (strict) on\n"
-      "                         the selected protocol before simulating;\n"
-      "                         exits 1 without simulating on violations\n"
       "  --profile              hierarchical section profiling: hardware\n"
       "                         counters when available, wall time always;\n"
       "                         the section table lands in the --json summary\n"
@@ -405,10 +405,6 @@ options parse(int argc, char** argv) {
       obs::set_progress_default(true);
       continue;
     }
-    if (arg == "--lint") {
-      opt.lint = true;
-      continue;
-    }
     if (arg == "--profile") {
       opt.profile = true;
       continue;
@@ -423,6 +419,8 @@ options parse(int argc, char** argv) {
       opt.profile_chrome = *v;
       continue;
     }
+    const std::string shape = flag_shape_error(arg, cli_flags, switches);
+    if (!shape.empty()) usage(shape);
     const std::string name = arg.substr(0, arg.find('='));
     std::string message = "unknown argument '" + name + "'";
     const std::string_view suggestion = nearest_candidate(name, cli_flags);
@@ -752,35 +750,6 @@ int run_flag_mode(const options& opt, serve::trial_recipe<P> recipe) {
   return with_engine(opt.spec.engine, std::move(recipe.protocol),
                      std::move(recipe.initial), recipe.engine_seed,
                      [&](auto& engine) { return drive(opt, engine, confirm); });
-}
-
-// Maps the CLI protocol name to the lint-registry entries covering it; the
-// sublinear entries are per history depth, so pick the one matching --h
-// (the linter's sampled checks only run at h <= 2).
-std::vector<std::string> lint_entries_for(const options& opt) {
-  const std::string& protocol = opt.spec.protocol;
-  if (protocol == "baseline") return {"baseline"};
-  if (protocol == "optimal") return {"optimal", "optimal-default"};
-  if (protocol == "sublinear")
-    return {"sublinear-h" +
-            std::to_string(std::min<std::uint32_t>(opt.spec.h, 2))};
-  if (protocol == "loose") return {"loose"};
-  return {};
-}
-
-// --lint: run the strict model lint for the selected protocol before
-// simulating; on violations print the findings and refuse to simulate.
-void run_lint_gate(const options& opt) {
-  lint::lint_options lo;
-  lo.protocols = lint_entries_for(opt);
-  if (lo.protocols.empty()) return;  // unknown protocol: reported below
-  const lint::lint_report report = lint::run_lint(lo);
-  if (!report.passed(/*strict=*/true)) {
-    std::cerr << lint::render_report(report, /*strict=*/true);
-    std::cerr << "lint: model violations; refusing to simulate\n";
-    std::exit(1);
-  }
-  std::cout << "lint: PASS (" << report.notes << " note(s))\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -1154,7 +1123,6 @@ int main(int argc, char** argv) {
                      "' (expected run, bundle, baseline, or compare)");
   }
   const options opt = parse(argc, argv);
-  if (opt.lint) run_lint_gate(opt);
   return serve::with_trial_recipe(
       opt.spec, derive_seed(opt.spec.seed, 0),
       [&](auto recipe) { return run_flag_mode(opt, std::move(recipe)); });

@@ -38,6 +38,7 @@
 #include "obs/report.hpp"
 #include "serve/net.hpp"
 #include "util/edit_distance.hpp"
+#include "util/flag_shape.hpp"
 #include "util/request_spec.hpp"
 
 namespace {
@@ -54,6 +55,11 @@ constexpr std::string_view k_flags[] = {
     "--trace",       "--trace-out", "--trace-sample-every",
     "--trace-max-events", "--profile", "--profile-out", "--metrics",
     "--overhead-probe", "--raw", "--help",
+};
+constexpr std::string_view k_switches[] = {
+    "--progress", "--no-cache", "--stats",   "--ping",    "--shutdown",
+    "--no-json",  "--trace",    "--profile", "--metrics", "--raw",
+    "--help",
 };
 
 struct cli_options {
@@ -106,11 +112,16 @@ void usage(std::ostream& os) {
 }
 
 [[noreturn]] void bad_flag(std::string_view arg) {
-  const std::string_view name = arg.substr(0, arg.find('='));
-  std::cerr << "error: unknown argument '" << name << "'";
-  const std::string_view suggestion = ssr::nearest_candidate(name, k_flags);
-  if (!suggestion.empty())
-    std::cerr << " (did you mean " << suggestion << "?)";
+  const std::string shape = ssr::flag_shape_error(arg, k_flags, k_switches);
+  if (!shape.empty()) {
+    std::cerr << "error: " << shape;
+  } else {
+    const std::string_view name = arg.substr(0, arg.find('='));
+    std::cerr << "error: unknown argument '" << name << "'";
+    const std::string_view suggestion = ssr::nearest_candidate(name, k_flags);
+    if (!suggestion.empty())
+      std::cerr << " (did you mean " << suggestion << "?)";
+  }
   std::cerr << '\n';
   usage(std::cerr);
   std::exit(2);

@@ -34,6 +34,7 @@
 
 #include "serve/server.hpp"
 #include "util/edit_distance.hpp"
+#include "util/flag_shape.hpp"
 #include "util/request_spec.hpp"
 
 namespace {
@@ -43,6 +44,7 @@ constexpr std::string_view k_flags[] = {
     "--retry-after-ms", "--port-file", "--telemetry-dir",
     "--stats-period-s", "--help",
 };
+constexpr std::string_view k_switches[] = {"--help"};
 
 ssr::serve::server* g_server = nullptr;
 
@@ -199,12 +201,18 @@ int main(int argc, char** argv) {
       stats_period_s = parse_flag_u64("--stats-period-s", *v);
       continue;
     }
-    const std::string_view name = arg.substr(0, arg.find('='));
-    std::cerr << "error: unknown argument '" << name << "'";
-    const std::string_view suggestion =
-        ssr::nearest_candidate(name, k_flags);
-    if (!suggestion.empty())
-      std::cerr << " (did you mean " << suggestion << "?)";
+    const std::string shape =
+        ssr::flag_shape_error(arg, k_flags, k_switches);
+    if (!shape.empty()) {
+      std::cerr << "error: " << shape;
+    } else {
+      const std::string_view name = arg.substr(0, arg.find('='));
+      std::cerr << "error: unknown argument '" << name << "'";
+      const std::string_view suggestion =
+          ssr::nearest_candidate(name, k_flags);
+      if (!suggestion.empty())
+        std::cerr << " (did you mean " << suggestion << "?)";
+    }
     std::cerr << '\n';
     usage(std::cerr);
     return 2;

@@ -21,11 +21,13 @@
 
 #include "analysis/trace_stats.hpp"
 #include "util/edit_distance.hpp"
+#include "util/flag_shape.hpp"
 
 namespace {
 
 constexpr std::array<std::string_view, 3> stats_flags = {
     "--format", "--out", "--help"};
+constexpr std::array<std::string_view, 1> switches = {"--help"};
 
 int usage() {
   std::cerr << "usage: trace_stats [--format=table|json|chrome] "
@@ -51,6 +53,12 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--", 0) == 0) {
+      const std::string shape =
+          ssr::flag_shape_error(arg, stats_flags, switches);
+      if (!shape.empty()) {
+        std::cerr << "error: " << shape << "\n";
+        return usage();
+      }
       const std::string flag = arg.substr(0, arg.find('='));
       std::cerr << "error: unknown option '" << flag << "'";
       const std::string_view suggestion =
