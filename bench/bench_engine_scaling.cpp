@@ -1,6 +1,8 @@
-// E15 -- head-to-head engine scaling: simulated interactions per second of
-// the direct and batched engines at n = 10^3 .. 10^6, plus a shard-count
-// sweep of the sharded multi-threaded engine at n = 10^6 .. 10^8.
+// E15 -- head-to-head engine throughput: simulated interactions per second
+// of the direct and batched engines on Silent-n-state-SSR and
+// Optimal-Silent-SSR at n = 10^3 .. 10^6 and on Sublinear-Time-SSR at small
+// (n, H), plus a shard-count sweep of the sharded multi-threaded engine at
+// n = 10^6 .. 10^8.
 //
 // The quantity that matters for experiment sizing is *simulated*
 // interactions per wall-clock second: the batched engine advances the same
@@ -9,14 +11,20 @@
 // certainly-null interactions for batch-countable protocols, so its
 // simulated rate grows with the null fraction -- dramatic near silence,
 // where almost every sampled pair is settled/settled with distinct ranks.
-// Each cell below is time-boxed: the engine runs from an adversarial start
-// in growing chunks until the time budget is spent (restarting from a fresh
-// adversarial configuration if it reaches quiescence), and reports
+// Sublinear-Time-SSR is not batch-countable (its batched engine is the
+// collision-aware block path), and its rows price Table 1's
+// exp(O(n^H) log n) state space: one interaction merges rosters and history
+// trees, so its cost grows with n and H.
+// Each cell below is time-boxed: the engine runs from its start
+// configuration in growing chunks until the time budget is spent
+// (restarting from a fresh start if it reaches quiescence), and reports
 // simulated-interactions / elapsed-seconds.
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,6 +35,7 @@
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
+#include "protocols/sublinear.hpp"
 
 namespace {
 
@@ -40,14 +49,16 @@ double seconds_since(clock_type::time_point start) {
 }
 
 /// Runs engines produced by `make` for ~`budget_seconds` of wall-clock time
-/// and returns simulated interactions per second.  Chunks double while they
-/// finish quickly so that clock reads never dominate, which matters once
-/// the count engine skips millions of nulls per executed interaction.
+/// and returns simulated interactions per second.  Chunks start at one
+/// interaction, because one Sublinear-Time-SSR interaction at H=4 takes
+/// milliseconds, and double while they finish quickly so that clock reads
+/// never dominate, which matters once the count engine skips millions of
+/// nulls per executed interaction.
 template <class MakeEngine>
 double interactions_per_second(MakeEngine make, double budget_seconds) {
   auto eng = make();
   std::uint64_t total = 0;
-  std::uint64_t chunk = std::uint64_t{1} << 14;
+  std::uint64_t chunk = 1;
   const auto start = clock_type::now();
   double elapsed = 0.0;
   while (elapsed < budget_seconds) {
@@ -78,18 +89,35 @@ double interactions_per_second(MakeEngine make, double budget_seconds) {
   return static_cast<double>(total) / elapsed;
 }
 
-template <class P, class MakeConfig>
-void scaling_table(reporter& rep, const char* protocol, const char* scenario,
-                   const char* title, MakeConfig make_config,
+/// One row of a scaling table: the population size, and H for
+/// Sublinear-Time-SSR (0 for the protocols that have none).
+struct cell {
+  std::uint32_t n;
+  std::uint32_t h = 0;
+};
+
+/// Direct and batched rates on every cell, each engine starting from
+/// make_config(make_protocol(cell), rng).  Cells with an H print it and
+/// report it as their params ("h=<H>"); the others report `params`.
+template <class MakeProtocol, class MakeConfig>
+void scaling_table(reporter& rep, const char* protocol, const char* params,
+                   const char* title, std::span<const cell> cells,
+                   MakeProtocol make_protocol, MakeConfig make_config,
                    double budget_seconds) {
+  using P = std::invoke_result_t<MakeProtocol, cell>;
+  const bool with_h = cells.front().h != 0;
   std::cout << "\n" << title << " (time box " << format_fixed(budget_seconds, 1)
             << " s per cell):\n";
-  text_table t({"n", "direct inter/s", "batched inter/s", "speedup"});
-  for (const std::uint32_t n : {1'000u, 10'000u, 100'000u, 1'000'000u}) {
-    std::uint64_t seed = 9000 + n;
+  std::vector<std::string> columns = {"n"};
+  if (with_h) columns.emplace_back("H");
+  columns.insert(columns.end(),
+                 {"direct inter/s", "batched inter/s", "speedup"});
+  text_table t(columns);
+  for (const cell c : cells) {
+    std::uint64_t seed = 9000 + c.n;
     const auto direct_rate = interactions_per_second(
         [&] {
-          P p(n);
+          P p = make_protocol(c);
           rng_t rng(++seed);
           auto init = make_config(p, rng);
           return direct_engine<P>(p, std::move(init), ++seed);
@@ -97,20 +125,24 @@ void scaling_table(reporter& rep, const char* protocol, const char* scenario,
         budget_seconds);
     const auto batched_rate = interactions_per_second(
         [&] {
-          P p(n);
+          P p = make_protocol(c);
           rng_t rng(++seed);
           auto init = make_config(p, rng);
           return batched_engine<P>(p, std::move(init), ++seed);
         },
         budget_seconds);
-    t.add_row({std::to_string(n), format_count(direct_rate),
-               format_count(batched_rate),
-               format_fixed(batched_rate / direct_rate, 1) + "x"});
-    const std::string params = std::string("scenario=") + scenario;
+    std::vector<std::string> row = {std::to_string(c.n)};
+    if (with_h) row.push_back(std::to_string(c.h));
+    row.insert(row.end(), {format_count(direct_rate),
+                           format_count(batched_rate),
+                           format_fixed(batched_rate / direct_rate, 1) + "x"});
+    t.add_row(row);
+    const std::string row_params =
+        with_h ? "h=" + std::to_string(c.h) : std::string(params);
     rep.add_value("engine_rate", "direct_interactions_per_second", protocol,
-                  n, params, direct_rate, "interactions/s");
+                  c.n, row_params, direct_rate, "interactions/s");
     rep.add_value("engine_rate", "batched_interactions_per_second", protocol,
-                  n, params, batched_rate, "interactions/s");
+                  c.n, row_params, batched_rate, "interactions/s");
   }
   t.print(std::cout);
 }
@@ -187,20 +219,33 @@ int main(int argc, char** argv) {
                "nothing here.\n --max-n=100000000 extends the sharded sweep "
                "to n = 1e8)\n";
 
-  scaling_table<silent_n_state_ssr>(
-      rep, "silent_n_state", "uniform_random",
-      "Silent-n-state-SSR, uniform random ranks",
+  constexpr cell size_cells[] = {{1'000}, {10'000}, {100'000}, {1'000'000}};
+  scaling_table(
+      rep, "silent_n_state", "scenario=uniform_random",
+      "Silent-n-state-SSR, uniform random ranks", size_cells,
+      [](cell c) { return silent_n_state_ssr(c.n); },
       [](const silent_n_state_ssr& p, rng_t& rng) {
         return adversarial_configuration(p, rng);
       },
       0.3);
 
-  scaling_table<optimal_silent_ssr>(
-      rep, "optimal_silent", "uniform_random",
-      "Optimal-Silent-SSR, uniform random start",
+  scaling_table(
+      rep, "optimal_silent", "scenario=uniform_random",
+      "Optimal-Silent-SSR, uniform random start", size_cells,
+      [](cell c) { return optimal_silent_ssr(c.n); },
       [](const optimal_silent_ssr& p, rng_t& rng) {
         return adversarial_configuration(
             p, optimal_silent_scenario::uniform_random, rng);
+      },
+      0.3);
+
+  constexpr cell sublinear_cells[] = {{16, 1}, {16, 2}, {16, 4}, {64, 2}};
+  scaling_table(
+      rep, "sublinear_time", "",
+      "Sublinear-Time-SSR, clean post-reset start", sublinear_cells,
+      [](cell c) { return sublinear_time_ssr(c.n, c.h); },
+      [](const sublinear_time_ssr& p, rng_t& rng) {
+        return p.initial_configuration(rng);
       },
       0.3);
 
@@ -229,10 +274,14 @@ int main(int argc, char** argv) {
                "start is the honest contrast: most agents\nstart Unsettled "
                "(volatile), nothing is certainly null, and the count "
                "engine's\nindexing overhead buys nothing until the "
-               "population is largely settled.  The sharded sweep adds the\n"
-               "other axis: once nothing can be skipped, cores are the only "
-               "lever, and the\nper-core column is the portable number to "
-               "track across revisions."
+               "population is largely settled.\nSublinear-Time-SSR puts "
+               "Table 1's exp(O(n^H) log n) states on the clock: each\n"
+               "interaction merges rosters and history trees, so its rate "
+               "falls by orders of\nmagnitude as H and n grow, on either "
+               "engine alike (nothing is certainly null).\nThe sharded sweep "
+               "adds the other axis: once nothing can be skipped, cores are\n"
+               "the only lever, and the per-core column is the portable "
+               "number to track across\nrevisions."
             << std::endl;
   rep.finish();
   return 0;

@@ -46,29 +46,6 @@ constexpr std::string_view bench_switches[] = {"--no-json", "--progress",
   std::exit(2);
 }
 
-std::uint64_t parse_u64_value(std::string_view flag, std::string_view text) {
-  std::uint64_t value = 0;
-  if (text.empty()) {
-    std::cerr << "error: " << flag << " needs a value\n";
-    std::exit(2);
-  }
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      std::cerr << "error: " << flag << " expects an unsigned integer, got '"
-                << text << "'\n";
-      std::exit(2);
-    }
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      std::cerr << "error: " << flag << " exceeds 2^64-1, got '" << text
-                << "'\n";
-      std::exit(2);
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
 // Runs the spec.trials trials of the recipe `spec` names through the
 // runner's trial function, as `ssr_cli run` would.  `confirm`, when given,
 // replaces the recipe's confirmation window.
@@ -125,11 +102,11 @@ bench_args parse_bench_args(int argc, char** argv) {
       continue;
     }
     if (const auto v = value_of("--max-n=")) {
-      args.max_n = parse_u64_value("--max-n", *v);
+      args.max_n = parse_u64_flag("--max-n", *v);
       continue;
     }
     if (const auto v = value_of("--trials=")) {
-      args.trials = parse_u64_value("--trials", *v);
+      args.trials = parse_u64_flag("--trials", *v);
       if (*args.trials == 0) {
         std::cerr << "error: --trials must be positive\n";
         std::exit(2);
@@ -137,7 +114,7 @@ bench_args parse_bench_args(int argc, char** argv) {
       continue;
     }
     if (const auto v = value_of("--seed=")) {
-      args.seed = parse_u64_value("--seed", *v);
+      args.seed = parse_u64_flag("--seed", *v);
       continue;
     }
     if (const auto v = value_of("--out-dir=")) {
@@ -198,8 +175,9 @@ reporter::reporter(const bench_args& args, std::string experiment,
                 << perf_->status() << "); recording wall time only\n";
     }
     profiler_.emplace(obs::timeline_options{.perf = &*perf_});
-    // Root section so even benches that never reach run_trials (e.g. the
-    // throughput bench driving engines directly) emit a non-empty profile.
+    // Root section so even benches that never reach run_trials (e.g.
+    // bench_engine_scaling, which drives engines directly) emit a non-empty
+    // profile.
     root_section_ = profiler_->enter("bench");
     obs::set_profiler_default(&*profiler_);
   }

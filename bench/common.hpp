@@ -1,4 +1,4 @@
-// Shared measurement plumbing for the experiment binaries (DESIGN.md E1-E7).
+// Shared measurement plumbing for the experiment binaries (DESIGN.md §3).
 //
 // Every experiment measures stabilization times over many seeded trials and
 // prints paper-style rows; the helpers here own the repetitive parts:

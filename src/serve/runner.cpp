@@ -4,6 +4,7 @@
 
 #include "analysis/statistics.hpp"
 #include "obs/perf_counters.hpp"
+#include "obs/scenario.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "pp/convergence.hpp"
@@ -13,21 +14,17 @@
 namespace ssr::serve {
 namespace {
 
+// The spec fields of the canonical scenario document, in its order and
+// with its protocol-irrelevant fields dropped.
 obs::json_value spec_json(const util::sim_request_spec& spec) {
+  obs::scenario_doc scenario;
+  scenario.spec = spec;
+  const obs::json_value canonical = obs::scenario_to_json(scenario);
   obs::json_value doc = obs::json_value::object();
-  doc["protocol"] = spec.protocol;
-  doc["scenario"] = spec.scenario;
-  doc["n"] = static_cast<std::uint64_t>(spec.n);
-  if (spec.protocol == "sublinear")
-    doc["h"] = static_cast<std::uint64_t>(spec.h);
-  if (spec.protocol == "loose")
-    doc["t_max"] = static_cast<std::uint64_t>(spec.t_max);
-  doc["trials"] = spec.trials;
-  doc["seed"] = spec.seed;
-  doc["max_time"] = spec.max_time;
-  doc["engine"] = std::string(to_string(spec.engine.kind));
-  if (spec.engine.kind == engine_kind::sharded)
-    doc["shards"] = static_cast<std::uint64_t>(spec.engine.shards);
+  for (const auto& [key, value] : canonical.members()) {
+    if (key != "schema" && key != "schema_version" && key != "name")
+      doc[key] = value;
+  }
   return doc;
 }
 

@@ -174,6 +174,7 @@ bad-values)
 --graph-p --protocol=optimal --n=8 --graph=gnp --graph-p=2
 --trace-sample-every --protocol=optimal --n=8 --trace-sample-every=x
 --trace-cap --protocol=optimal --n=8 --trace-cap=-1
+--trace-cap --protocol=optimal --n=8 --trace-cap=18446744073709551617
 --graph=ring --protocol=baseline --n=2 --graph=ring
 --graph=gnp --protocol=optimal --n=30000 --graph=gnp
 graph --protocol=baseline --n=8 --graph=rign

@@ -304,11 +304,11 @@ options parse(int argc, char** argv) {
     return *value;
   };
   const auto count = [](const char* flag, const std::string& text) {
-    const std::optional<std::uint64_t> value = util::parse_u64(text);
-    if (!value || *value == 0)
+    const std::uint64_t value = parse_u64_flag(flag, text);
+    if (value == 0)
       usage(std::string(flag) + " must be an integer >= 1, got '" + text +
             "'");
-    return *value;
+    return value;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

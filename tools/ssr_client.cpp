@@ -39,10 +39,10 @@
 #include "serve/net.hpp"
 #include "util/edit_distance.hpp"
 #include "util/flag_shape.hpp"
-#include "util/request_spec.hpp"
 
 namespace {
 
+using ssr::parse_u64_flag;
 using ssr::obs::json_value;
 
 constexpr std::string_view k_flags[] = {
@@ -127,16 +127,6 @@ void usage(std::ostream& os) {
   std::exit(2);
 }
 
-std::uint64_t parse_flag_u64(std::string_view flag, std::string_view text) {
-  const std::optional<std::uint64_t> v = ssr::util::parse_u64(text);
-  if (!v.has_value()) {
-    std::cerr << "error: " << flag << " expects an unsigned integer, got '"
-              << text << "'\n";
-    std::exit(2);
-  }
-  return *v;
-}
-
 cli_options parse_args(int argc, char** argv) {
   cli_options opt;
   for (int i = 1; i < argc; ++i) {
@@ -152,7 +142,7 @@ cli_options parse_args(int argc, char** argv) {
       std::exit(0);
     }
     if (const auto v = value_of("--port=")) {
-      const std::uint64_t port = parse_flag_u64("--port", *v);
+      const std::uint64_t port = parse_u64_flag("--port", *v);
       if (port > 65535) {
         std::cerr << "error: --port must be at most 65535, got " << port
                   << '\n';
@@ -178,27 +168,27 @@ cli_options parse_args(int argc, char** argv) {
       continue;
     }
     if (const auto v = value_of("--n=")) {
-      opt.run["n"] = parse_flag_u64("--n", *v);
+      opt.run["n"] = parse_u64_flag("--n", *v);
       continue;
     }
     if (const auto v = value_of("--h=")) {
-      opt.run["h"] = parse_flag_u64("--h", *v);
+      opt.run["h"] = parse_u64_flag("--h", *v);
       continue;
     }
     if (const auto v = value_of("--t-max=")) {
-      opt.run["t_max"] = parse_flag_u64("--t-max", *v);
+      opt.run["t_max"] = parse_u64_flag("--t-max", *v);
       continue;
     }
     if (const auto v = value_of("--trials=")) {
-      opt.run["trials"] = parse_flag_u64("--trials", *v);
+      opt.run["trials"] = parse_u64_flag("--trials", *v);
       continue;
     }
     if (const auto v = value_of("--seed=")) {
-      opt.run["seed"] = parse_flag_u64("--seed", *v);
+      opt.run["seed"] = parse_u64_flag("--seed", *v);
       continue;
     }
     if (const auto v = value_of("--shards=")) {
-      opt.run["shards"] = parse_flag_u64("--shards", *v);
+      opt.run["shards"] = parse_u64_flag("--shards", *v);
       continue;
     }
     if (const auto v = value_of("--max-time=")) {
@@ -214,7 +204,7 @@ cli_options parse_args(int argc, char** argv) {
       continue;
     }
     if (const auto v = value_of("--deadline-ms=")) {
-      opt.deadline_ms = parse_flag_u64("--deadline-ms", *v);
+      opt.deadline_ms = parse_u64_flag("--deadline-ms", *v);
       continue;
     }
     if (arg == "--progress") {
@@ -248,12 +238,12 @@ cli_options parse_args(int argc, char** argv) {
     }
     if (const auto v = value_of("--trace-sample-every=")) {
       opt.trace = true;
-      opt.trace_sample_every = parse_flag_u64("--trace-sample-every", *v);
+      opt.trace_sample_every = parse_u64_flag("--trace-sample-every", *v);
       continue;
     }
     if (const auto v = value_of("--trace-max-events=")) {
       opt.trace = true;
-      opt.trace_max_events = parse_flag_u64("--trace-max-events", *v);
+      opt.trace_max_events = parse_u64_flag("--trace-max-events", *v);
       continue;
     }
     if (arg == "--profile") {
@@ -267,7 +257,7 @@ cli_options parse_args(int argc, char** argv) {
     }
     if (const auto v = value_of("--overhead-probe=")) {
       opt.overhead_probe =
-          static_cast<std::size_t>(parse_flag_u64("--overhead-probe", *v));
+          static_cast<std::size_t>(parse_u64_flag("--overhead-probe", *v));
       continue;
     }
     if (arg == "--ping") {
@@ -284,7 +274,7 @@ cli_options parse_args(int argc, char** argv) {
       while (!rest.empty()) {
         const std::size_t comma = rest.find(',');
         const std::string_view item = rest.substr(0, comma);
-        opt.sweep_n.push_back(parse_flag_u64("--sweep-n", item));
+        opt.sweep_n.push_back(parse_u64_flag("--sweep-n", item));
         if (comma == std::string_view::npos) break;
         rest.remove_prefix(comma + 1);
       }
@@ -297,7 +287,7 @@ cli_options parse_args(int argc, char** argv) {
     if (const auto v = value_of("--hammer=")) {
       opt.mode = cli_options::mode_t::hammer;
       opt.hammer_clients =
-          static_cast<std::size_t>(parse_flag_u64("--hammer", *v));
+          static_cast<std::size_t>(parse_u64_flag("--hammer", *v));
       if (opt.hammer_clients == 0) {
         std::cerr << "error: --hammer needs at least one client\n";
         std::exit(2);
@@ -306,7 +296,7 @@ cli_options parse_args(int argc, char** argv) {
     }
     if (const auto v = value_of("--requests=")) {
       opt.requests_per_client =
-          static_cast<std::size_t>(parse_flag_u64("--requests", *v));
+          static_cast<std::size_t>(parse_u64_flag("--requests", *v));
       continue;
     }
     if (const auto v = value_of("--out-dir=")) {

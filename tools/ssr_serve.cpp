@@ -35,9 +35,10 @@
 #include "serve/server.hpp"
 #include "util/edit_distance.hpp"
 #include "util/flag_shape.hpp"
-#include "util/request_spec.hpp"
 
 namespace {
+
+using ssr::parse_u64_flag;
 
 constexpr std::string_view k_flags[] = {
     "--port",  "--workers", "--queue-depth", "--cache",
@@ -45,6 +46,10 @@ constexpr std::string_view k_flags[] = {
     "--stats-period-s", "--help",
 };
 constexpr std::string_view k_switches[] = {"--help"};
+
+// The bound on --stats-period-s and --retry-after-ms: a longer period is
+// no use, and a value near 2^64 would wrap in its std::chrono conversion.
+constexpr std::uint64_t k_one_day_s = 86'400;
 
 ssr::serve::server* g_server = nullptr;
 
@@ -72,16 +77,6 @@ void usage(std::ostream& os) {
         "  --stats-period-s=N also snapshot the Prometheus exposition to\n"
         "                     DIR/metrics.prom every N seconds (needs "
         "--telemetry-dir)\n";
-}
-
-std::uint64_t parse_flag_u64(std::string_view flag, std::string_view text) {
-  const std::optional<std::uint64_t> v = ssr::util::parse_u64(text);
-  if (!v.has_value()) {
-    std::cerr << "error: " << flag << " expects an unsigned integer, got '"
-              << text << "'\n";
-    std::exit(2);
-  }
-  return *v;
 }
 
 /// Periodic metrics snapshot: write-then-rename so a concurrent reader
@@ -156,7 +151,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (const auto v = value_of("--port=")) {
-      const std::uint64_t port = parse_flag_u64("--port", *v);
+      const std::uint64_t port = parse_u64_flag("--port", *v);
       if (port > 65535) {
         std::cerr << "error: --port must be at most 65535, got " << port
                   << '\n';
@@ -167,7 +162,7 @@ int main(int argc, char** argv) {
     }
     if (const auto v = value_of("--workers=")) {
       options.service.workers =
-          static_cast<std::size_t>(parse_flag_u64("--workers", *v));
+          static_cast<std::size_t>(parse_u64_flag("--workers", *v));
       if (options.service.workers == 0) {
         std::cerr << "error: --workers must be at least 1\n";
         return 2;
@@ -176,17 +171,22 @@ int main(int argc, char** argv) {
     }
     if (const auto v = value_of("--queue-depth=")) {
       options.service.max_queue_depth =
-          static_cast<std::size_t>(parse_flag_u64("--queue-depth", *v));
+          static_cast<std::size_t>(parse_u64_flag("--queue-depth", *v));
       continue;
     }
     if (const auto v = value_of("--cache=")) {
       options.service.cache_capacity =
-          static_cast<std::size_t>(parse_flag_u64("--cache", *v));
+          static_cast<std::size_t>(parse_u64_flag("--cache", *v));
       continue;
     }
     if (const auto v = value_of("--retry-after-ms=")) {
-      options.service.retry_after = std::chrono::milliseconds(
-          parse_flag_u64("--retry-after-ms", *v));
+      const std::uint64_t ms = parse_u64_flag("--retry-after-ms", *v);
+      if (ms > k_one_day_s * 1000) {
+        std::cerr << "error: --retry-after-ms must be at most "
+                  << k_one_day_s * 1000 << " (one day), got " << ms << '\n';
+        return 2;
+      }
+      options.service.retry_after = std::chrono::milliseconds(ms);
       continue;
     }
     if (const auto v = value_of("--port-file=")) {
@@ -198,7 +198,12 @@ int main(int argc, char** argv) {
       continue;
     }
     if (const auto v = value_of("--stats-period-s=")) {
-      stats_period_s = parse_flag_u64("--stats-period-s", *v);
+      stats_period_s = parse_u64_flag("--stats-period-s", *v);
+      if (stats_period_s > k_one_day_s) {
+        std::cerr << "error: --stats-period-s must be at most " << k_one_day_s
+                  << " (one day), got " << stats_period_s << '\n';
+        return 2;
+      }
       continue;
     }
     const std::string shape =
