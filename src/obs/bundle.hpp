@@ -1,7 +1,7 @@
 // Run bundles: one self-describing artifact directory per scenario run.
 //
-// `ssr_cli run <scenario.json> --out <dir>` and the serve daemon's
-// scenario payloads both persist this layout (docs/bundles.md):
+// `ssr_cli run <scenario.json> --out <dir>` and each job the serve daemon
+// runs with a telemetry dir persist this layout (docs/bundles.md):
 //
 //   <dir>/scenario.json         canonical ssr.scenario v1 (obs/scenario.hpp)
 //   <dir>/run.json              ssr.run v1: spec echo, per-trial samples,

@@ -1,8 +1,8 @@
 // The `ssr.scenario` v1 document: one declarative simulation scenario.
 //
-// A scenario file is the single input of `ssr_cli run` and of the serve
-// wire's `{"type":"run","scenario":{...}}` payload (docs/bundles.md has
-// the schema table):
+// A scenario file is the single input of `ssr_cli run`, and a serve
+// wire "run" request is one plus five transport fields (docs/bundles.md
+// has the schema table):
 //
 //   { "schema": "ssr.scenario", "schema_version": 1,
 //     "name": "optimal_no_leader",          // bundle / baseline key
@@ -58,8 +58,8 @@ struct scenario_doc {
 std::span<const std::string_view> scenario_field_names();
 
 /// Parses the "trace" field (bool shorthand or options object) into the
-/// builder, recording field errors in the shared formats.  Shared with
-/// the serve wire, whose "trace" request field has the same shape.
+/// builder, recording field errors in the shared formats.  parse_scenario
+/// is its only caller; the serve wire reaches it through that.
 void parse_trace_json(const json_value& value,
                       util::telemetry_builder& builder,
                       std::vector<util::spec_error>& errors);

@@ -5,8 +5,8 @@
 // constructs it on the connection thread, the runner fills it on the
 // worker thread (trace sink, phase-name table, profile document), and the
 // service renders it back out -- in-band inside the result document and,
-// when the daemon runs with a telemetry directory, as per-job artifact
-// files next to the events.jsonl journal.
+// when the daemon runs with a telemetry directory, into the job's run
+// bundle through write_job_bundle (serve/runner.hpp), as ssr_cli run does.
 //
 // Threading: exactly one worker executes the job, and the connection
 // thread only reads the context after job_handle reports a terminal state

@@ -1,9 +1,12 @@
 #include "serve/runner.hpp"
 
+#include <sstream>
 #include <vector>
 
 #include "analysis/statistics.hpp"
+#include "obs/exposition.hpp"
 #include "obs/perf_counters.hpp"
+#include "obs/run_info.hpp"
 #include "obs/scenario.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
@@ -92,6 +95,34 @@ std::shared_ptr<const obs::json_value> run_simulation(
   stats_doc["p99"] = stats.p99;
   out["stats"] = std::move(stats_doc);
   return doc;
+}
+
+obs::bundle_result write_job_bundle(const std::string& dir,
+                                    const obs::scenario_doc& scenario,
+                                    const obs::json_value& result,
+                                    const obs::engine_counters& counters,
+                                    const request_telemetry* telemetry,
+                                    const obs::metrics_registry& metrics,
+                                    bool events) {
+  obs::bundle_artifacts artifacts;
+  artifacts.events = events;
+  std::string trace_text;
+  if (telemetry != nullptr && telemetry->options.trace) {
+    std::ostringstream os;
+    telemetry->trace.write_jsonl(os, telemetry->phase_names);
+    trace_text = os.str();
+    artifacts.trace_jsonl = &trace_text;
+  }
+  if (telemetry != nullptr && telemetry->options.profile) {
+    artifacts.profile = &telemetry->profile;
+  }
+  if (scenario.emit_metrics) {
+    artifacts.metrics_prom = obs::prometheus_text(metrics);
+  }
+  // obs::git_revision() forks git; a daemon writes a bundle per job.
+  static const std::string git_rev = obs::git_revision();
+  return obs::write_run_bundle(dir, scenario, result, counters, artifacts,
+                               {.git_rev = git_rev});
 }
 
 }  // namespace ssr::serve

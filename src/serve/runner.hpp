@@ -7,7 +7,8 @@
 // runs each one, through run_trials with sequential per-job execution: the
 // serve worker pool is the concurrency, so one job never fans out
 // internally.  The runner itself only wires telemetry: the per-job
-// profiler and counters, and trial 0's trace and phase names.
+// profiler and counters, and trial 0's trace and phase names.  Both
+// front ends persist an executed job through write_job_bundle.
 //
 // Determinism contract: the result document is a pure function of the
 // spec.  Trial seeds derive from spec.seed exactly as in every bench
@@ -28,7 +29,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 
+#include "obs/bundle.hpp"
 #include "obs/engine_counters.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -69,5 +72,19 @@ std::shared_ptr<const obs::json_value> run_simulation(
     obs::metrics_registry* metrics, request_telemetry* telemetry = nullptr,
     obs::engine_counters* counters = nullptr,
     const std::function<void(std::uint64_t, std::uint64_t)>& on_trial = {});
+
+/// Persists one executed job as a run bundle in `dir` (obs/bundle.hpp):
+/// `result` and `counters` from run_simulation, the trace and profile
+/// `telemetry` captured (when non-null), and `metrics` as metrics.prom
+/// when the scenario asks for it.  `events` says the caller's journal
+/// already streamed <dir>/events.jsonl.  `ssr_cli run` and the serve
+/// daemon write every bundle through here.
+obs::bundle_result write_job_bundle(const std::string& dir,
+                                    const obs::scenario_doc& scenario,
+                                    const obs::json_value& result,
+                                    const obs::engine_counters& counters,
+                                    const request_telemetry* telemetry,
+                                    const obs::metrics_registry& metrics,
+                                    bool events = false);
 
 }  // namespace ssr::serve

@@ -1,11 +1,12 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
+#include <iterator>
 #include <optional>
-#include <sstream>
+#include <span>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -24,15 +25,33 @@ namespace {
 constexpr std::string_view k_request_types[] = {"run", "stats", "metrics",
                                                 "ping", "shutdown"};
 
-// Every field a "run" request may carry; anything else is rejected with a
-// nearest-name suggestion so typos ("trails") fail loudly instead of
-// silently running with the default.
-constexpr std::string_view k_run_fields[] = {
-    "type",     "id",    "protocol", "scenario",    "n",
-    "h",        "t_max", "trials",   "seed",        "max_time",
-    "engine",   "shards", "deadline_ms", "progress", "no_cache",
-    "trace",    "profile",
-};
+// The fields of a "run" request that are not ssr.scenario fields.
+constexpr std::string_view k_transport_fields[] = {
+    "type", "id", "deadline_ms", "progress", "no_cache"};
+
+// The bound on deadline_ms, as on ssr_serve's duration flags: a longer
+// deadline is no use, and from about 9.2e12 ms on, steady_clock's
+// nanosecond count wraps and the job would be cancelled at once.
+constexpr std::uint64_t k_max_deadline_ms = 86'400'000;
+
+bool is_scenario_field(std::string_view name) {
+  const std::span<const std::string_view> names = obs::scenario_field_names();
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/// Every field a "run" request may carry: the transport fields, then the
+/// scenario fields.
+std::span<const std::string_view> run_fields() {
+  static const std::vector<std::string_view> names = [] {
+    std::vector<std::string_view> all(std::begin(k_transport_fields),
+                                      std::end(k_transport_fields));
+    const std::span<const std::string_view> scenario =
+        obs::scenario_field_names();
+    all.insert(all.end(), scenario.begin(), scenario.end());
+    return all;
+  }();
+  return names;
+}
 
 /// Non-negative integral JSON number, exact in a double.
 std::optional<std::uint64_t> as_u64(const obs::json_value& v) {
@@ -73,11 +92,15 @@ obs::json_value field_errors_json(
   return arr;
 }
 
-// The fields a scenario-payload run request may carry next to the
-// "scenario" object; everything spec-shaped lives inside the document.
-constexpr std::string_view k_scenario_run_fields[] = {
-    "type", "id", "scenario", "deadline_ms", "progress", "no_cache",
-};
+/// The in-band "telemetry" block of a traced or profiled run.
+obs::json_value telemetry_json(const request_telemetry& telemetry,
+                               const std::string& request_id) {
+  obs::json_value doc = obs::json_value::object();
+  doc["request_id"] = request_id;
+  if (telemetry.options.trace) doc["trace"] = telemetry.trace_json();
+  if (telemetry.options.profile) doc["profile"] = telemetry.profile;
+  return doc;
+}
 
 }  // namespace
 
@@ -159,105 +182,21 @@ obs::json_value service::handle_run(const obs::json_value& request,
   bool want_progress = false;
   bool no_cache = false;
   std::optional<std::uint64_t> deadline_ms;
-
-  // Scenario payload: {"type":"run","scenario":{...ssr.scenario v1...}}.
-  // The document carries everything spec-shaped; only transport-level
-  // fields may ride alongside it.
-  const obs::json_value* scenario_field = request.find("scenario");
-  if (scenario_field != nullptr && scenario_field->is_object()) {
-    for (const auto& [field, value] : request.members()) {
-      if (field == "type" || field == "id" || field == "scenario") continue;
-      if (field == "deadline_ms") {
-        const std::optional<std::uint64_t> u = as_u64(value);
-        if (!u.has_value()) {
-          errors.push_back({field, "must be a non-negative integer"});
-          continue;
-        }
-        deadline_ms = *u;
-        continue;
-      }
-      if (field == "progress" || field == "no_cache") {
-        if (!value.is_bool()) {
-          errors.push_back({field, "must be a boolean"});
-          continue;
-        }
-        if (field == "progress") want_progress = value.as_bool();
-        if (field == "no_cache") no_cache = value.as_bool();
-        continue;
-      }
-      errors.push_back(
-          {field, util::unknown_name_message("request field", field,
-                                             k_scenario_run_fields)});
-    }
-    std::vector<util::spec_error> scenario_errors;
-    const std::optional<obs::scenario_doc> scenario =
-        obs::parse_scenario(*scenario_field, &scenario_errors);
-    for (util::spec_error& e : scenario_errors) {
-      errors.push_back({"scenario." + e.field, std::move(e.message)});
-    }
-    if (!errors.empty() || !scenario.has_value()) {
-      obs::json_value doc =
-          error_response(request, "invalid_request",
-                         "invalid request: " + util::render_errors(errors));
-      doc["field_errors"] = field_errors_json(errors);
-      return doc;
-    }
-    return execute_run(request, sink, scenario->spec, scenario->telemetry,
-                       want_progress, no_cache, deadline_ms, &*scenario);
-  }
-
-  util::spec_builder builder;
-  util::telemetry_builder telemetry_builder;
+  // Everything but the transport fields is the ssr.scenario document.
+  obs::json_value document = obs::json_value::object();
   for (const auto& [field, value] : request.members()) {
-    const auto bad_u64 = [&] {
-      errors.push_back({field, "must be a non-negative integer"});
-    };
     if (field == "type" || field == "id") continue;
-    if (field == "trace") {
-      obs::parse_trace_json(value, telemetry_builder, errors);
-      continue;
-    }
-    if (field == "profile") {
-      if (!value.is_bool()) {
-        errors.push_back({field, "must be a boolean"});
-        continue;
-      }
-      telemetry_builder.set_profile(value.as_bool());
-      continue;
-    }
-    if (field == "protocol" || field == "scenario" || field == "engine") {
-      if (!value.is_string()) {
-        errors.push_back({field, "must be a string"});
-        continue;
-      }
-      if (field == "protocol") builder.set_protocol(value.as_string());
-      if (field == "scenario") builder.set_scenario(value.as_string());
-      if (field == "engine") builder.set_engine(value.as_string());
-      continue;
-    }
-    if (field == "n" || field == "h" || field == "t_max" ||
-        field == "trials" || field == "seed" || field == "shards" ||
-        field == "deadline_ms") {
+    if (field == "deadline_ms") {
       const std::optional<std::uint64_t> u = as_u64(value);
       if (!u.has_value()) {
-        bad_u64();
-        continue;
+        errors.push_back({field, "must be a non-negative integer"});
+      } else if (*u > k_max_deadline_ms) {
+        errors.push_back({field, "must be at most " +
+                                     std::to_string(k_max_deadline_ms) +
+                                     " (one day)"});
+      } else {
+        deadline_ms = *u;
       }
-      if (field == "n") builder.set_n(*u);
-      if (field == "h") builder.set_h(*u);
-      if (field == "t_max") builder.set_t_max(*u);
-      if (field == "trials") builder.set_trials(*u);
-      if (field == "seed") builder.set_seed(*u);
-      if (field == "shards") builder.set_shards(*u);
-      if (field == "deadline_ms") deadline_ms = *u;
-      continue;
-    }
-    if (field == "max_time") {
-      if (!value.is_number()) {
-        errors.push_back({field, "must be a number"});
-        continue;
-      }
-      builder.set_max_time(value.as_double());
       continue;
     }
     if (field == "progress" || field == "no_cache") {
@@ -269,16 +208,31 @@ obs::json_value service::handle_run(const obs::json_value& request,
       if (field == "no_cache") no_cache = value.as_bool();
       continue;
     }
-    errors.push_back(
-        {field, util::unknown_name_message("request field", field,
-                                           k_run_fields)});
+    document[field] = value;
   }
+  // A request without a name is named by its request id, which is only
+  // assigned once the request validates.
+  const bool named = document.find("name") != nullptr;
+  if (!named) document["name"] = "unnamed";
 
-  std::vector<util::spec_error> spec_errors = builder.finalize();
-  errors.insert(errors.end(), spec_errors.begin(), spec_errors.end());
-  std::vector<util::spec_error> telemetry_errors = telemetry_builder.finalize();
-  errors.insert(errors.end(), telemetry_errors.begin(),
-                telemetry_errors.end());
+  std::vector<util::spec_error> scenario_errors;
+  std::optional<obs::scenario_doc> scenario =
+      obs::parse_scenario(document, &scenario_errors);
+  for (util::spec_error& e : scenario_errors) {
+    // Unknown names reach the parser so that every error keeps its
+    // request order; the suggestion also searches the transport fields.
+    if (document.find(e.field) != nullptr && !is_scenario_field(e.field)) {
+      e.message =
+          util::unknown_name_message("scenario field", e.field, run_fields());
+    }
+    errors.push_back(std::move(e));
+  }
+  if (scenario.has_value() && scenario->emit_metrics &&
+      options_.telemetry_dir.empty()) {
+    errors.push_back({"metrics",
+                      "needs a daemon with a telemetry dir: metrics.prom is "
+                      "a file of the job's bundle"});
+  }
   if (!errors.empty()) {
     obs::json_value doc =
         error_response(request, "invalid_request",
@@ -286,34 +240,35 @@ obs::json_value service::handle_run(const obs::json_value& request,
     doc["field_errors"] = field_errors_json(errors);
     return doc;
   }
-
-  return execute_run(request, sink, builder.spec(), telemetry_builder.spec(),
-                     want_progress, no_cache, deadline_ms, nullptr);
+  if (!named) scenario->name.clear();
+  return execute_run(request, sink, std::move(*scenario), want_progress,
+                     no_cache, deadline_ms);
 }
 
-obs::json_value service::execute_run(
-    const obs::json_value& request, const event_sink& sink,
-    const util::sim_request_spec& spec,
-    const util::telemetry_spec& telemetry_options, bool want_progress,
-    bool no_cache, std::optional<std::uint64_t> deadline_ms,
-    const obs::scenario_doc* scenario) {
+obs::json_value service::execute_run(const obs::json_value& request,
+                                     const event_sink& sink,
+                                     obs::scenario_doc scenario,
+                                     bool want_progress, bool no_cache,
+                                     std::optional<std::uint64_t> deadline_ms) {
+  const util::sim_request_spec& spec = scenario.spec;
   const std::string fingerprint = spec.canonical();
   const std::string request_id =
       "job-" + std::to_string(
                    next_request_id_.fetch_add(1, std::memory_order_relaxed));
+  if (scenario.name.empty()) scenario.name = request_id;
   const auto journal_fields = [&] {
     obs::json_value fields = obs::json_value::object();
     fields["request_id"] = request_id;
     return fields;
   };
 
-  // Telemetry must observe an actual execution, so a telemetered request
-  // bypasses the cache *lookup*; it still populates the cache below
-  // (results are pure functions of the spec, telemetry is not part of the
-  // fingerprint).  Scenario payloads bypass for the same reason: their
-  // bundle (engine counters, journal, manifest) only exists if the job
-  // executes.
-  if (!no_cache && !telemetry_options.any() && scenario == nullptr) {
+  // A trace, profile or metrics.prom must observe an actual execution, so
+  // a request for one bypasses the cache *lookup*; it still populates the
+  // cache below (results are pure functions of the spec, and nothing else
+  // enters the fingerprint).
+  const bool wants_artifacts =
+      scenario.telemetry.any() || scenario.emit_metrics;
+  if (!no_cache && !wants_artifacts) {
     if (std::shared_ptr<const obs::json_value> cached =
             cache_.get(fingerprint)) {
       metrics_.get_counter("serve.cache_hits").add(1);
@@ -331,7 +286,7 @@ obs::json_value service::execute_run(
       return doc;
     }
     metrics_.get_counter("serve.cache_misses").add(1);
-  } else if (telemetry_options.any()) {
+  } else if (wants_artifacts) {
     metrics_.get_counter("serve.cache_bypass").add(1);
   }
 
@@ -340,12 +295,11 @@ obs::json_value service::execute_run(
   // mixing trials across concurrent jobs.
   auto job_metrics = std::make_shared<obs::metrics_registry>();
   std::shared_ptr<request_telemetry> telemetry;
-  if (telemetry_options.any()) {
-    telemetry = std::make_shared<request_telemetry>(telemetry_options);
+  if (scenario.telemetry.any()) {
+    telemetry = std::make_shared<request_telemetry>(scenario.telemetry);
   }
-  // Scenario runs aggregate the engines' work counters for run.json.
-  std::shared_ptr<obs::engine_counters> counters;
-  if (scenario != nullptr) counters = std::make_shared<obs::engine_counters>();
+  // The engines' work counters, aggregated for the bundle's run.json.
+  auto counters = std::make_shared<obs::engine_counters>();
   std::shared_ptr<job_handle> handle = queue_.try_submit(
       [this, spec, job_metrics, telemetry, counters,
        request_id](const cancel_token& token) {
@@ -423,40 +377,22 @@ obs::json_value service::execute_run(
       doc["fingerprint"] = fingerprint;
       doc["request_id"] = request_id;
       doc["result"] = *result;
-      if (scenario != nullptr) {
-        // Scenario runs answer with a persisted bundle instead of in-band
-        // telemetry: the bundle directory holds trace/profile/metrics with
-        // a sha256 manifest (obs/bundle.hpp), same layout as ssr_cli run.
-        if (!options_.telemetry_dir.empty()) {
-          const std::string dir = options_.telemetry_dir + "/" + request_id;
-          obs::bundle_artifacts artifacts;
-          std::string trace_text;
-          if (telemetry != nullptr && telemetry->options.trace) {
-            std::ostringstream os;
-            telemetry->trace.write_jsonl(os, telemetry->phase_names);
-            trace_text = os.str();
-            artifacts.trace_jsonl = &trace_text;
-          }
-          if (telemetry != nullptr && telemetry->options.profile) {
-            artifacts.profile = &telemetry->profile;
-          }
-          if (scenario->emit_metrics) {
-            artifacts.metrics_prom = obs::prometheus_text(*job_metrics);
-          }
-          const obs::bundle_result bundle = obs::write_run_bundle(
-              dir, *scenario, *result, *counters, artifacts);
-          obs::json_value info = obs::json_value::object();
-          info["ok"] = bundle.ok;
-          if (bundle.ok) {
-            info["dir"] = bundle.dir;
-            info["manifest"] = bundle.manifest_path;
-          } else {
-            info["error"] = bundle.error;
-          }
-          doc["bundle"] = std::move(info);
+      if (telemetry != nullptr) {
+        doc["telemetry"] = telemetry_json(*telemetry, request_id);
+      }
+      if (!options_.telemetry_dir.empty()) {
+        const obs::bundle_result bundle = write_job_bundle(
+            options_.telemetry_dir + "/" + request_id, scenario, *result,
+            *counters, telemetry.get(), *job_metrics);
+        obs::json_value info = obs::json_value::object();
+        info["ok"] = bundle.ok;
+        if (bundle.ok) {
+          info["dir"] = bundle.dir;
+          info["manifest"] = bundle.manifest_path;
+        } else {
+          info["error"] = bundle.error;
         }
-      } else if (telemetry != nullptr) {
-        doc["telemetry"] = render_telemetry(*telemetry, request_id);
+        doc["bundle"] = std::move(info);
       }
       if (journal_.enabled()) {
         obs::json_value fields = journal_fields();
@@ -494,38 +430,6 @@ obs::json_value service::execute_run(
   obs::json_value doc = error_response(request, "run_failed",
                                        handle->error());
   doc["request_id"] = request_id;
-  return doc;
-}
-
-obs::json_value service::render_telemetry(const request_telemetry& telemetry,
-                                          const std::string& request_id) {
-  obs::json_value doc = obs::json_value::object();
-  doc["request_id"] = request_id;
-  if (telemetry.options.trace) doc["trace"] = telemetry.trace_json();
-  if (telemetry.options.profile) doc["profile"] = telemetry.profile;
-  if (!options_.telemetry_dir.empty()) {
-    const std::string dir = options_.telemetry_dir + "/" + request_id;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (!ec) {
-      obs::json_value artifacts = obs::json_value::object();
-      artifacts["dir"] = dir;
-      if (telemetry.options.trace) {
-        const std::string path = dir + "/trace.jsonl";
-        std::ofstream os(path);
-        telemetry.trace.write_jsonl(os, telemetry.phase_names);
-        artifacts["trace"] = path;
-      }
-      if (telemetry.options.profile) {
-        const std::string path = dir + "/profile.json";
-        std::ofstream os(path);
-        os << telemetry.profile.dump(2) << '\n';
-        artifacts["profile"] = path;
-      }
-      artifacts["events"] = options_.telemetry_dir + "/events.jsonl";
-      doc["artifacts"] = std::move(artifacts);
-    }
-  }
   return doc;
 }
 

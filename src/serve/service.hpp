@@ -9,18 +9,14 @@
 //
 // Request documents (line-delimited JSON objects):
 //
-//   {"type":"run", "id":..., "protocol":..., "scenario":..., "n":...,
-//    "h":..., "t_max":..., "trials":..., "seed":..., "max_time":...,
-//    "engine":..., "shards":..., "deadline_ms":..., "progress":bool,
-//    "no_cache":bool,
-//    "trace":bool | {"enabled":bool,"sample_every":N,"max_events":N},
-//    "profile":bool}
-//   {"type":"run", "id":..., "scenario":{...ssr.scenario v1 document...},
-//    "deadline_ms":..., "progress":bool, "no_cache":bool}
-//      -- "scenario" as an *object* switches to the declarative form
-//         (obs/scenario.hpp); with a telemetry dir the job persists a full
-//         run bundle (obs/bundle.hpp) under <dir>/<request_id>/ and the
-//         response carries {"bundle":{"ok","dir","manifest"}}.
+//   {"type":"run", "id":..., "deadline_ms":..., "progress":bool,
+//    "no_cache":bool, <ssr.scenario v1 fields>}
+//      -- a scenario file plus "type":"run" is a request: every field but
+//         the five transport fields goes to obs::parse_scenario
+//         (obs/scenario.hpp), so the field errors are the scenario file's
+//         (an unknown name's suggestion also searches the transport
+//         fields).  "name" is optional; an unnamed job is named by its
+//         request id.  deadline_ms is at most one day.
 //   {"type":"stats", "id":...} | {"type":"metrics", "id":...}
 //   {"type":"ping", "id":...} | {"type":"shutdown", "id":...}
 //
@@ -29,12 +25,12 @@
 //   {"id":..., "type":"result", "ok":true, "cached":bool,
 //    "fingerprint":..., "request_id":"job-N",
 //    "result":{...},                              -- runner.hpp layout
-//    "telemetry":{...}}                           -- only when requested:
-//      {"request_id":"job-N",
-//       "trace":{"header":{...},"events":[...]},  -- trace requested
-//       "profile":{...},                          -- profile requested
-//       "artifacts":{"dir":...,"trace":...,       -- daemon has a
-//                    "profile":...,"events":...}} --   telemetry dir
+//    "telemetry":{"request_id":"job-N",           -- trace or profile
+//       "trace":{"header":{...},"events":[...]},  --   requested
+//       "profile":{...}},
+//    "bundle":{"ok","dir","manifest"}}            -- executed, and the
+//                                                 --   daemon has a
+//                                                 --   telemetry dir
 //   {"id":..., "type":"error", "ok":false, "error":<kind>, "message":...,
 //    "field_errors":[{"field","message"},...],    -- kind=invalid_request
 //    "retry_after_ms":N}                          -- kind=saturated
@@ -50,13 +46,13 @@
 // Error kinds: invalid_request, saturated, deadline_exceeded, cancelled,
 // run_failed.
 //
-// Telemetry semantics: trace/profile options never enter the canonical
-// spec or the cache fingerprint (they cannot change the result), but a
-// telemetered request *bypasses the cache lookup* -- the artifacts only
-// exist if the job executes -- while still populating the cache for later
-// untelemetered replays.  obs/journal.hpp documents the events.jsonl job
-// journal (schema "ssr.serve.events") written when the service has a
-// telemetry directory.
+// Cache semantics: the fingerprint is the spec's canonical() form, so
+// telemetry never enters it.  A request that sets no_cache or asks for
+// trace, profile or metrics skips the lookup, because its artifacts
+// must come from a real execution; every other request may be served
+// from the cache, and a cache hit writes no bundle.  obs/journal.hpp
+// documents the events.jsonl job journal (schema "ssr.serve.events")
+// written when the service has a telemetry directory.
 #pragma once
 
 #include <atomic>
@@ -73,15 +69,12 @@
 #include "obs/metrics.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/result_cache.hpp"
-#include "util/request_spec.hpp"
 
 namespace ssr::obs {
 struct scenario_doc;  // obs/scenario.hpp
 }  // namespace ssr::obs
 
 namespace ssr::serve {
-
-struct request_telemetry;  // serve/request_context.hpp
 
 struct service_options {
   /// Worker threads executing simulations.
@@ -95,9 +88,10 @@ struct service_options {
   /// Completion poll slice; also the progress-event emission period.
   std::chrono::milliseconds poll_interval{200};
   /// When nonempty: the directory receiving the events.jsonl job journal
-  /// and per-job telemetry artifacts (<dir>/<request_id>/trace.jsonl,
-  /// profile.json).  Created on construction.  Empty disables server-side
-  /// telemetry persistence (in-band telemetry still works).
+  /// and, for every executed job, the run bundle `ssr_cli run` writes
+  /// (<dir>/<request_id>/, obs/bundle.hpp).  Created on construction.
+  /// Empty persists nothing, and refuses "metrics" requests (in-band
+  /// trace and profile still work).
   std::string telemetry_dir{};
 };
 
@@ -152,21 +146,14 @@ class service {
  private:
   obs::json_value handle_run(const obs::json_value& request,
                              const event_sink& sink);
-  /// Shared execution path behind both run-request forms (flat fields and
-  /// scenario payloads): admission, journal, progress streaming, caching.
-  /// `scenario`, when non-null, marks a scenario payload -- the cache
-  /// lookup is bypassed and a run bundle is persisted on completion.
+  /// Runs one validated request: cache, admission, journal, progress
+  /// streaming, and the job's bundle.  An unnamed `scenario` (empty name)
+  /// takes the job's request id as its name.
   obs::json_value execute_run(const obs::json_value& request,
                               const event_sink& sink,
-                              const util::sim_request_spec& spec,
-                              const util::telemetry_spec& telemetry_options,
-                              bool want_progress, bool no_cache,
-                              std::optional<std::uint64_t> deadline_ms,
-                              const obs::scenario_doc* scenario);
-  /// Renders the response "telemetry" block and, when the service has a
-  /// telemetry directory, persists the per-job artifacts.
-  obs::json_value render_telemetry(const request_telemetry& telemetry,
-                                   const std::string& request_id);
+                              obs::scenario_doc scenario, bool want_progress,
+                              bool no_cache,
+                              std::optional<std::uint64_t> deadline_ms);
 
   service_options options_;
   obs::metrics_registry metrics_;

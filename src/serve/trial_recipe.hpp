@@ -45,8 +45,8 @@ struct trial_recipe {
 
 namespace detail {
 
-// Scenario names were validated by util::spec_builder, so the lookup
-// cannot fail on front-end input; the throw guards direct library callers.
+// Every front end validates scenario names (util/request_spec.hpp), so the
+// lookup cannot fail on their input; the throw guards direct library callers.
 template <class Scenario>
 Scenario scenario_of(const util::sim_request_spec& spec) {
   if (const auto scenario = scenario_named<Scenario>(spec.scenario))

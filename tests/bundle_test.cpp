@@ -1,8 +1,8 @@
 // Run-bundle observability: the ssr.scenario parser, the bundle writer's
 // deterministic contract (same (scenario, seed) => byte-identical run.json
 // and manifest digests), golden summary/manifest fixtures, manifest
-// verification, the baseline compare gates, and the serve daemon's
-// scenario payloads.
+// verification, the baseline compare gates, and the serve daemon's run
+// requests, which are scenario documents.
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -352,12 +352,13 @@ TEST(ServeScenario, PayloadRunsAndPersistsABundle) {
   options.workers = 1;
   options.telemetry_dir = dir;
   serve::service service(options);
-  const obs::json_value response = service.handle_line(
-      R"({"type":"run","id":1,"scenario":{
-            "schema":"ssr.scenario","schema_version":1,
-            "name":"wire_scenario","protocol":"optimal",
-            "scenario":"no_leader","n":16,"trials":2,"seed":9,
-            "engine":"direct","trace":true}})");
+  const std::string request =
+      R"({"type":"run","id":1,
+          "schema":"ssr.scenario","schema_version":1,
+          "name":"wire_scenario","protocol":"optimal",
+          "scenario":"no_leader","n":16,"trials":2,"seed":9,
+          "engine":"direct","trace":true})";
+  const obs::json_value response = service.handle_line(request);
   ASSERT_NE(response.find("ok"), nullptr);
   ASSERT_TRUE(response.find("ok")->as_bool())
       << response.dump(2);
@@ -368,24 +369,23 @@ TEST(ServeScenario, PayloadRunsAndPersistsABundle) {
   const obs::manifest_check check = obs::verify_bundle(bundle_dir);
   EXPECT_TRUE(check.ok()) << check.problems.front();
   EXPECT_TRUE(fs::exists(bundle_dir + "/trace.jsonl"));
+  EXPECT_NE(slurp(bundle_dir + "/scenario.json").find("\"wire_scenario\""),
+            std::string::npos);
 
-  // Same payload again: scenario runs bypass the cache lookup (the bundle
-  // must observe an execution), so the replay is uncached too.
-  const obs::json_value replay = service.handle_line(
-      R"({"type":"run","id":2,"scenario":{
-            "schema":"ssr.scenario","schema_version":1,
-            "name":"wire_scenario","protocol":"optimal",
-            "scenario":"no_leader","n":16,"trials":2,"seed":9,
-            "engine":"direct","trace":true}})");
+  // Same request again: a traced request skips the cache lookup (its
+  // trace must observe an execution), so the replay is uncached too.
+  const obs::json_value replay = service.handle_line(request);
   ASSERT_TRUE(replay.find("ok")->as_bool());
   EXPECT_FALSE(replay.find("cached")->as_bool());
 }
 
 TEST(ServeScenario, InvalidPayloadGetsPrefixedFieldErrors) {
+  // The wire reports the scenario parser's own field names, with no
+  // prefix; a request needs no name, and a misspelled transport field
+  // still gets its suggestion.
   serve::service service({.workers = 1});
   const obs::json_value response = service.handle_line(
-      R"({"type":"run","scenario":{"protocol":"optiml","n":16},
-          "progess":true})");
+      R"({"type":"run","protocol":"optiml","n":16,"progess":true})");
   ASSERT_NE(response.find("error"), nullptr);
   EXPECT_EQ(response.find("error")->as_string(), "invalid_request");
   const obs::json_value* field_errors = response.find("field_errors");
@@ -393,12 +393,12 @@ TEST(ServeScenario, InvalidPayloadGetsPrefixedFieldErrors) {
   bool saw_protocol = false, saw_name = false, saw_sibling = false;
   for (const obs::json_value& item : field_errors->items()) {
     const std::string& field = item.find("field")->as_string();
-    if (field == "scenario.protocol") {
+    if (field == "protocol") {
       saw_protocol = true;
       EXPECT_NE(item.find("message")->as_string().find("did you mean"),
                 std::string::npos);
     }
-    if (field == "scenario.name") saw_name = true;
+    if (field == "name") saw_name = true;
     if (field == "progess") {
       saw_sibling = true;
       EXPECT_NE(item.find("message")->as_string().find("progress"),
@@ -406,8 +406,141 @@ TEST(ServeScenario, InvalidPayloadGetsPrefixedFieldErrors) {
     }
   }
   EXPECT_TRUE(saw_protocol);
-  EXPECT_TRUE(saw_name);
+  EXPECT_FALSE(saw_name);
   EXPECT_TRUE(saw_sibling);
+}
+
+TEST(ServeScenario, FieldErrorsMatchTheScenarioGolden) {
+  // The document of Scenario.FieldErrorsMatchGolden sent as a request
+  // gets the scenario file's errors, in its order, except the missing
+  // name: a request without one is named by its request id.
+  serve::service service({.workers = 1});
+  const obs::json_value response = service.handle_line(
+      R"({"type":"run","schema":"ssr.scenario","schema_version":1,
+          "protocol":"optiml","scenaro":"no_leader","n":16,
+          "trace":{"sample_evry":2}})");
+  const obs::json_value* field_errors = response.find("field_errors");
+  ASSERT_NE(field_errors, nullptr) << response.dump(2);
+  std::ostringstream rendered;
+  for (const obs::json_value& item : field_errors->items()) {
+    rendered << item.find("field")->as_string() << ": "
+             << item.find("message")->as_string() << "\n";
+  }
+  std::istringstream golden(slurp(data_path("bundle/scenario_errors_golden.txt")));
+  std::string expected;
+  for (std::string line; std::getline(golden, line);) {
+    if (line.rfind("name: ", 0) != 0) expected += line + "\n";
+  }
+  EXPECT_EQ(rendered.str(), expected);
+}
+
+TEST(ServeScenario, ExamplesBundleLikeSsrCliRun) {
+  // Each shipped scenario file, sent with "type":"run" to a daemon with a
+  // telemetry dir, leaves a verified bundle whose run.json is the one
+  // `ssr_cli run` writes for the file.
+  const std::string dir = testing::TempDir() + "serve_scenario_examples";
+  fs::remove_all(dir);
+  serve::service_options options;
+  options.workers = 1;
+  options.telemetry_dir = dir + "/daemon";
+  serve::service service(options);
+  std::size_t examples = 0;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(SSR_SCENARIO_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    ++examples;
+    const std::string text = slurp(entry.path().string());
+    std::optional<obs::json_value> request = obs::json_value::parse(text);
+    ASSERT_TRUE(request.has_value()) << entry.path();
+    (*request)["type"] = "run";
+    const obs::json_value response = service.handle(*request);
+    ASSERT_TRUE(response.find("ok")->as_bool()) << response.dump(2);
+    const obs::json_value* bundle = response.find("bundle");
+    ASSERT_NE(bundle, nullptr) << response.dump(2);
+    const std::string served = bundle->find("dir")->as_string();
+    const obs::manifest_check check = obs::verify_bundle(served);
+    EXPECT_TRUE(check.ok()) << served;
+
+    std::vector<util::spec_error> errors;
+    const std::optional<obs::scenario_doc> doc =
+        obs::parse_scenario_text(text, &errors);
+    ASSERT_TRUE(doc.has_value()) << util::render_errors(errors);
+    std::optional<serve::request_telemetry> telemetry;
+    if (doc->telemetry.any()) telemetry.emplace(doc->telemetry);
+    obs::metrics_registry registry;
+    obs::engine_counters counters;
+    const std::shared_ptr<const obs::json_value> result =
+        serve::run_simulation(doc->spec, nullptr, &registry,
+                              telemetry.has_value() ? &*telemetry : nullptr,
+                              &counters);
+    const std::string local = dir + "/" + doc->name;
+    ASSERT_TRUE(serve::write_job_bundle(local, *doc, *result, counters,
+                                        telemetry.has_value() ? &*telemetry
+                                                              : nullptr,
+                                        registry)
+                    .ok);
+    EXPECT_EQ(slurp(served + "/run.json"), slurp(local + "/run.json"))
+        << entry.path();
+  }
+  EXPECT_GE(examples, 3u);
+}
+
+TEST(ServeScenario, NamedTracedRunShipsItsTraceWithoutATelemetryDir) {
+  serve::service service({.workers = 1});
+  const obs::json_value response = service.handle_line(
+      R"({"type":"run","name":"traced","protocol":"optimal","n":16,
+          "trials":1,"seed":4,"trace":true})");
+  ASSERT_TRUE(response.find("ok")->as_bool()) << response.dump(2);
+  const obs::json_value* telemetry = response.find("telemetry");
+  ASSERT_NE(telemetry, nullptr) << response.dump(2);
+  ASSERT_NE(telemetry->find("trace"), nullptr);
+  EXPECT_GT(telemetry->find("trace")->find("events")->size(), 0u);
+  EXPECT_EQ(response.find("bundle"), nullptr);
+}
+
+TEST(ServeScenario, MetricsWithoutATelemetryDirIsAFieldError) {
+  // metrics.prom is a bundle file; a daemon without a telemetry dir has
+  // nowhere to put it, so it refuses the request instead of dropping it.
+  const std::string request =
+      R"({"type":"run","protocol":"optimal","n":16,"metrics":true})";
+  serve::service service({.workers = 1});
+  const obs::json_value response = service.handle_line(request);
+  const obs::json_value* field_errors = response.find("field_errors");
+  ASSERT_NE(field_errors, nullptr) << response.dump(2);
+  ASSERT_EQ(field_errors->size(), 1u);
+  EXPECT_EQ(field_errors->at(0).find("field")->as_string(), "metrics");
+  EXPECT_NE(field_errors->at(0).find("message")->as_string().find(
+                "telemetry dir"),
+            std::string::npos)
+      << field_errors->at(0).dump();
+
+  // With a telemetry dir the same request leaves metrics.prom in its bundle.
+  const std::string dir = testing::TempDir() + "serve_scenario_metrics";
+  fs::remove_all(dir);
+  serve::service_options options;
+  options.workers = 1;
+  options.telemetry_dir = dir;
+  serve::service with_dir(options);
+  const obs::json_value ran = with_dir.handle_line(request);
+  const obs::json_value* bundle = ran.find("bundle");
+  ASSERT_NE(bundle, nullptr) << ran.dump(2);
+  EXPECT_TRUE(fs::exists(bundle->find("dir")->as_string() + "/metrics.prom"));
+}
+
+TEST(ServeScenario, NestedScenarioObjectIsAFieldError) {
+  // The retired {"scenario": {...}} payload gets the scenario parser's own
+  // error for a non-string "scenario".
+  serve::service service({.workers = 1});
+  const obs::json_value response = service.handle_line(
+      R"({"type":"run","scenario":{"schema":"ssr.scenario",
+          "schema_version":1,"name":"nested","protocol":"optimal",
+          "n":16}})");
+  const obs::json_value* field_errors = response.find("field_errors");
+  ASSERT_NE(field_errors, nullptr) << response.dump(2);
+  ASSERT_EQ(field_errors->size(), 1u);
+  EXPECT_EQ(field_errors->at(0).find("field")->as_string(), "scenario");
+  EXPECT_EQ(field_errors->at(0).find("message")->as_string(),
+            "must be a string");
 }
 
 }  // namespace

@@ -279,6 +279,24 @@ TEST(ServeService, DeadlineExceededOnSlowRun) {
   EXPECT_EQ(svc.cache().size(), 0u);
 }
 
+TEST(ServeService, DeadlineAboveOneDayIsAFieldError) {
+  // 10^13 ms would wrap steady_clock's nanoseconds and cancel the job at
+  // once; the field is bounded at one day, like ssr_serve's duration flags.
+  service svc(fast_options());
+  obs::json_value request = run_request(16, 1, 3);
+  request["deadline_ms"] = std::uint64_t{10'000'000'000'000};
+  const obs::json_value response = svc.handle(request);
+  const obs::json_value* errors = response.find("field_errors");
+  ASSERT_NE(errors, nullptr) << response.dump();
+  ASSERT_EQ(errors->size(), 1u);
+  EXPECT_EQ(errors->at(0).find("field")->as_string(), "deadline_ms");
+  EXPECT_EQ(errors->at(0).find("message")->as_string(),
+            "must be at most 86400000 (one day)");
+
+  request["deadline_ms"] = std::uint64_t{86'400'000};
+  EXPECT_TRUE(svc.handle(request).find("ok")->as_bool());
+}
+
 TEST(ServeService, ProgressEventsStreamDuringRun) {
   service_options options = fast_options();
   options.poll_interval = std::chrono::milliseconds{1};

@@ -3,11 +3,12 @@
 # with ssr_client (single run, concurrent sweep, cached replay, traced +
 # profiled run, metrics scrape, 8-client hammer), check the cache actually
 # served the replay, check the wire telemetry round trip (trace artifact
-# byte-identical client/server, trace_stats parses it, events.jsonl
-# journal, metrics.prom snapshot), validate the emitted BENCH_SERVE.json,
-# and shut down cleanly.
+# byte-identical client/server, the traced job's run bundle verifies,
+# trace_stats parses the trace, events.jsonl journal, metrics.prom
+# snapshot), validate the emitted BENCH_SERVE.json, and shut down cleanly.
 #
-#   serve_smoke.sh <ssr_serve> <ssr_client> <report_trend> [trace_stats]
+#   serve_smoke.sh <ssr_serve> <ssr_client> <report_trend> <ssr_cli> \
+#                  [trace_stats]
 #
 # Run by ctest (serve_e2e) and by the CI serve leg; exits non-zero on the
 # first failed step.  SERVE_SMOKE_OUT_DIR / SERVE_SMOKE_HISTORY_DIR, when
@@ -16,13 +17,14 @@
 # latency, cache-hit-rate, and telemetry-overhead rows); by default
 # everything stays in a scratch directory that is removed on exit.
 # SERVE_SMOKE_TELEMETRY_DIR, when set, keeps the daemon's telemetry
-# directory (journal, per-job artifacts, metrics.prom) for upload.
+# directory (journal, per-job run bundles, metrics.prom) for upload.
 set -eu
 
 SERVE=$1
 CLIENT=$2
 REPORT_TREND=$3
-TRACE_STATS=${4:-}
+SSR_CLI=$4
+TRACE_STATS=${5:-}
 
 WORK=$(mktemp -d serve_smoke.XXXXXX)
 PORT_FILE=$WORK/port
@@ -75,12 +77,15 @@ echo "== cached replay must be served from the cache, bit-identical"
 "$CLIENT" --port-file="$PORT_FILE" --protocol=optimal --n=32 --trials=2 \
   --seed=7 >"$WORK/run2.json"
 grep -q '"cached": true' "$WORK/run2.json"
-# Strip the per-request envelope fields (cached flag, request id) and
+# Strip the per-request envelope fields (cached flag, request id, and the
+# executed job's bundle block, with the commas it leaves behind) and
 # compare the rest -- the result payload must be bit-identical.
-sed 's/"cached": [a-z]*//; s/"request_id": "job-[0-9]*"//' \
-  "$WORK/run1.json" >"$WORK/run1.stripped"
-sed 's/"cached": [a-z]*//; s/"request_id": "job-[0-9]*"//' \
-  "$WORK/run2.json" >"$WORK/run2.stripped"
+strip_envelope() {
+  sed '/^  "bundle": {/,/^  }/d; s/"cached": [a-z]*//
+       s/"request_id": "job-[0-9]*"//; s/,$//' "$1"
+}
+strip_envelope "$WORK/run1.json" >"$WORK/run1.stripped"
+strip_envelope "$WORK/run2.json" >"$WORK/run2.stripped"
 cmp "$WORK/run1.stripped" "$WORK/run2.stripped"
 
 echo "== concurrent sweep fan-out"
@@ -98,11 +103,14 @@ grep -q '"request_id"' "$WORK/run3.json"
 grep -q '"event":"trace_header"' "$WORK/trace.jsonl"
 grep -q '"schema": "ssr.profile"' "$WORK/profile.json"
 
-echo "== client trace matches the daemon's artifact byte for byte"
+echo "== client trace matches the daemon's bundle byte for byte"
 REQUEST_ID=$(sed -n 's/.*"request_id": "\(job-[0-9]*\)".*/\1/p' \
   "$WORK/run3.json" | head -n1)
 cmp "$WORK/trace.jsonl" "$TELEMETRY_DIR/$REQUEST_ID/trace.jsonl"
 test -s "$TELEMETRY_DIR/$REQUEST_ID/profile.json"
+
+echo "== the traced job's run bundle verifies"
+"$SSR_CLI" bundle verify "$TELEMETRY_DIR/$REQUEST_ID"
 
 if [ -n "$TRACE_STATS" ]; then
   echo "== trace_stats parses the served trace unchanged"

@@ -139,20 +139,21 @@ TEST(ServeTelemetry, ArtifactFileMatchesInBandReconstruction) {
     ASSERT_TRUE(response.find("ok")->as_bool()) << response.dump();
     const obs::json_value* telemetry = response.find("telemetry");
     ASSERT_NE(telemetry, nullptr);
-    const obs::json_value* artifacts = telemetry->find("artifacts");
-    ASSERT_NE(artifacts, nullptr);
+    const obs::json_value* bundle = response.find("bundle");
+    ASSERT_NE(bundle, nullptr) << response.dump();
+    ASSERT_TRUE(bundle->find("ok")->as_bool()) << bundle->dump();
 
-    // The artifact file on disk and the in-band transport are the same
+    // The bundle's trace file and the in-band transport are the same
     // bytes -- a client rewriting header+events per line gets the file
     // trace_stats already parses.
-    std::ifstream is(artifacts->find("trace")->as_string());
+    std::ifstream is(bundle->find("dir")->as_string() + "/trace.jsonl");
     ASSERT_TRUE(is.good());
     std::ostringstream file_text;
     file_text << is.rdbuf();
     EXPECT_EQ(file_text.str(), reconstruct_jsonl(*telemetry->find("trace")));
 
-    // The journal artifact exists and leads with the header line.
-    std::ifstream journal_is(artifacts->find("events")->as_string());
+    // The daemon's journal exists and leads with the header line.
+    std::ifstream journal_is(dir / "events.jsonl");
     ASSERT_TRUE(journal_is.good());
     std::string first_line;
     ASSERT_TRUE(std::getline(journal_is, first_line));

@@ -62,7 +62,6 @@
 #include "analysis/trace_stats.hpp"
 #include "obs/bundle.hpp"
 #include "obs/engine_counters.hpp"
-#include "obs/exposition.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -897,23 +896,10 @@ int cmd_run(std::span<char* const> args) {
     fields["elapsed_ms"] = elapsed_ms();
   });
 
-  obs::bundle_artifacts artifacts;
-  artifacts.events = true;
-  std::string trace_text;
-  if (telemetry.has_value() && telemetry->options.trace) {
-    std::ostringstream os;
-    telemetry->trace.write_jsonl(os, telemetry->phase_names);
-    trace_text = os.str();
-    artifacts.trace_jsonl = &trace_text;
-  }
-  if (telemetry.has_value() && telemetry->options.profile) {
-    artifacts.profile = &telemetry->profile;
-  }
-  if (scenario->emit_metrics) {
-    artifacts.metrics_prom = obs::prometheus_text(registry);
-  }
-  const obs::bundle_result bundle = obs::write_run_bundle(
-      out_dir, *scenario, *result, counters, artifacts);
+  const obs::bundle_result bundle = serve::write_job_bundle(
+      out_dir, *scenario, *result, counters,
+      telemetry.has_value() ? &*telemetry : nullptr, registry,
+      /*events=*/true);
   if (!bundle.ok) {
     std::cerr << "error: " << bundle.error << '\n';
     return 1;

@@ -10,7 +10,7 @@
 //
 // --port=0 (the default) binds an ephemeral port; --port-file writes the
 // bound port for scripts to pick up.  --telemetry-dir enables the
-// events.jsonl job journal and per-job trace/profile artifacts
+// events.jsonl job journal and a run bundle per executed job
 // (docs/observability.md, "Wire telemetry"); --stats-period-s additionally
 // snapshots the Prometheus metrics exposition to <dir>/metrics.prom every
 // N seconds (atomic rename, so scrapers never read a torn file).
@@ -72,8 +72,8 @@ void usage(std::ostream& os) {
         "(default 250)\n"
         "  --port-file=PATH   write the bound port to PATH after listen\n"
         "  --telemetry-dir=DIR write the events.jsonl job journal and "
-        "per-job\n"
-        "                     trace/profile artifacts under DIR\n"
+        "every\n"
+        "                     executed job's run bundle under DIR\n"
         "  --stats-period-s=N also snapshot the Prometheus exposition to\n"
         "                     DIR/metrics.prom every N seconds (needs "
         "--telemetry-dir)\n";
