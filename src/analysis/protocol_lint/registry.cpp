@@ -300,9 +300,8 @@ void run_sublinear(std::uint32_t n, std::uint32_t h, lint_context& ctx) {
   // a valid ranking (the protocol is self-stabilizing, so every legal
   // starting configuration must converge).
   const auto validate_tree =
-      [&t](const tree_node& node,
-           const auto& self) -> std::optional<std::string> {
-    for (const tree_edge& e : node.edges) {
+      [&t](const history_tree& tree) -> std::optional<std::string> {
+    for (const history_tree::entry& e : tree.entries()) {
       if (e.sync < 1 || e.sync > t.s_max) {
         return "history-tree edge sync " + std::to_string(e.sync) +
                " outside {1.." + std::to_string(t.s_max) + "}";
@@ -310,9 +309,6 @@ void run_sublinear(std::uint32_t n, std::uint32_t h, lint_context& ctx) {
       if (e.timer > t.t_h) {
         return "history-tree edge timer " + std::to_string(e.timer) +
                " exceeds T_H=" + std::to_string(t.t_h);
-      }
-      if (const std::optional<std::string> msg = self(e.child, self)) {
-        return msg;
       }
     }
     return std::nullopt;
@@ -347,7 +343,7 @@ void run_sublinear(std::uint32_t n, std::uint32_t h, lint_context& ctx) {
       if (!(s.tree.root_name() == s.name)) {
         return std::string("history tree root not labelled with own name");
       }
-      return validate_tree(s.tree.root(), validate_tree);
+      return validate_tree(s.tree);
     }
     if (s.reset.resetcount > t.r_max) {
       return "resetcount " + std::to_string(s.reset.resetcount) +

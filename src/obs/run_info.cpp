@@ -9,7 +9,9 @@
 
 namespace ssr::obs {
 
-std::string git_revision() {
+namespace {
+
+std::string query_git_revision() {
 #if defined(_WIN32)
   return "unknown";
 #else
@@ -27,6 +29,15 @@ std::string git_revision() {
   if (status != 0 || rev.empty()) return "unknown";
   return rev;
 #endif
+}
+
+}  // namespace
+
+std::string git_revision() {
+  // One fork per process: the journal header, every bundle manifest and
+  // every report of a run all ask.
+  static const std::string rev = query_git_revision();
+  return rev;
 }
 
 }  // namespace ssr::obs

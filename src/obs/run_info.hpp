@@ -9,6 +9,7 @@
 namespace ssr::obs {
 
 /// `git rev-parse HEAD` of the working tree, "unknown" when unavailable.
+/// Asked once per process; later calls return the first answer.
 std::string git_revision();
 
 }  // namespace ssr::obs

@@ -217,7 +217,7 @@ std::vector<sl_state> adversarial_configuration(
   auto fresh_collecting = [&](sl_state& s, const name_t& name) {
     s.role = sl_role::collecting;
     s.name = name;
-    s.roster.assign(1, name);
+    s.roster = roster_t{name};
     s.tree.reset(name);
     s.rank = 0;
   };
@@ -237,7 +237,7 @@ std::vector<sl_state> adversarial_configuration(
           roster = sorted_unique(roster);
           if (roster.size() > n) roster.resize(n);
           if (roster.empty()) roster.push_back(s.name);
-          s.roster = std::move(roster);
+          s.roster = roster_t(std::move(roster));
           s.rank = static_cast<std::uint32_t>(uniform_below(rng, n + 1));
           s.tree = make_random_tree(rng, s.name, pool, t);
         } else {
@@ -265,11 +265,12 @@ std::vector<sl_state> adversarial_configuration(
         names.push_back(random_name(rng, t.name_bits));
         names = sorted_unique(std::move(names));
       }
+      const roster_t shared_roster(names);
       for (std::uint32_t i = 0; i < n; ++i) {
         auto& s = config[i];
         s.role = sl_role::collecting;
         s.name = names[i == 0 ? 0 : i - 1];  // agents 0 and 1 collide
-        s.roster = names;
+        s.roster = shared_roster;
         s.tree.reset(s.name);
         s.rank = 0;
       }
@@ -283,9 +284,9 @@ std::vector<sl_state> adversarial_configuration(
       for (int g = 0; g < 3; ++g)
         ghosts.push_back(random_name(rng, t.name_bits));
       for (auto& s : config) {
-        std::vector<name_t> padded = s.roster;
+        std::vector<name_t> padded = s.roster.names();
         padded.insert(padded.end(), ghosts.begin(), ghosts.end());
-        s.roster = sorted_unique(std::move(padded));
+        s.roster = roster_t(sorted_unique(std::move(padded)));
       }
       break;
     }
@@ -296,7 +297,7 @@ std::vector<sl_state> adversarial_configuration(
         std::vector<name_t> roster;
         for (std::uint32_t k = 0; k < n; ++k)
           if (k != i % pool.size()) roster.push_back(pool[k % pool.size()]);
-        config[i].roster = sorted_unique(std::move(roster));
+        config[i].roster = roster_t(sorted_unique(std::move(roster)));
       }
       break;
     case sublinear_scenario::planted_histories:
@@ -329,11 +330,12 @@ std::vector<sl_state> adversarial_configuration(
         names.push_back(random_name(rng, t.name_bits));
         names = sorted_unique(std::move(names));
       }
+      const roster_t shared_roster(names);
       for (std::uint32_t i = 0; i < n; ++i) {
         auto& s = config[i];
         s.role = sl_role::collecting;
         s.name = names[i];
-        s.roster = names;
+        s.roster = shared_roster;
         s.tree.reset(s.name);
         s.rank = i + 1;
       }

@@ -269,10 +269,10 @@ std::string tree_to_text(const history_tree& tree) {
 
 history_tree tree_from_text(const std::string& text) {
   tree_parser parser{text, 0, 1};
-  tree_node root = parser.node();
+  const tree_node root = parser.node();
   parser.skip_spaces();
   if (parser.pos != text.size()) fail(1, "trailing characters after tree");
-  return history_tree::adopt(std::move(root));
+  return history_tree::adopt(root);
 }
 
 std::string to_text(const sublinear_time_ssr& p,
@@ -327,17 +327,18 @@ std::vector<sublinear_time_ssr::agent_state> config_from_text(
       s.name = parse_name(field(tokens, "name", line), line);
       s.rank = uint_field(tokens, "rank", line);
       const std::string roster = field(tokens, "roster", line);
-      s.roster.clear();
+      std::vector<name_t> names;
       if (roster != "-") {
         std::istringstream rs(roster);
         std::string entry;
         while (std::getline(rs, entry, ','))
-          s.roster.push_back(parse_name(entry, line));
-        for (std::size_t r = 1; r < s.roster.size(); ++r) {
-          if (!(s.roster[r - 1] < s.roster[r]))
+          names.push_back(parse_name(entry, line));
+        for (std::size_t r = 1; r < names.size(); ++r) {
+          if (!(names[r - 1] < names[r]))
             fail(line, "roster not sorted/unique");
         }
       }
+      s.roster = roster_t(std::move(names));
       tree_parser parser{tree_text, 0, line};
       s.tree = history_tree::adopt(parser.node());
       if (s.tree.depth() > p.params().h) fail(line, "tree too deep");

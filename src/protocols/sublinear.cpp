@@ -1,6 +1,5 @@
 #include "protocols/sublinear.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "pp/assert.hpp"
@@ -68,13 +67,13 @@ struct sublinear_time_ssr::hooks {
     // Collecting fields are deleted on the role switch; the name survives
     // and is cleared separately while the reset propagates (lines 12-13).
     s.rank = 0;
-    s.roster.clear();
+    s.roster = roster_t{};
     s.tree.reset(name_t{});
   }
   // Protocol 6: restart collection from the freshly generated name.
   void reset(agent_state& s) const {
     s.role = role_t::collecting;
-    s.roster.assign(1, s.name);
+    s.roster = roster_t{s.name};
     s.tree.reset(s.name);
     s.reset = reset_fields{};
     // rank keeps its (arbitrary) value per the paper's field semantics; we
@@ -109,10 +108,9 @@ bool sublinear_time_ssr::interact(agent_state& a, agent_state& b,
     // preserve it; violation proves a corrupt configuration (and without
     // this check a name missing from every roster deadlocks the protocol --
     // see the header).
-    const auto holds_own_name = [](const agent_state& s) {
-      return std::binary_search(s.roster.begin(), s.roster.end(), s.name);
-    };
-    if (!holds_own_name(a) || !holds_own_name(b)) {
+    const std::uint32_t a_rank = a.roster.rank_of(a.name);
+    const std::uint32_t b_rank = b.roster.rank_of(b.name);
+    if (a_rank == 0 || b_rank == 0) {
       trigger_pair(a, b);
       return true;
     }
@@ -125,34 +123,32 @@ bool sublinear_time_ssr::interact(agent_state& a, agent_state& b,
     bool changed = false;
     if (params_.h >= 1) {
       // Protocol 7 lines 5-14: one shared sync value, mutual grafts from
-      // pre-interaction snapshots, own-name scrubbing, timer aging.
+      // pre-interaction trees, own-name scrubbing, timer aging.
       const auto sync = static_cast<std::uint32_t>(
           1 + uniform_below(rng, params_.s_max));
-      const history_tree a_before = a.tree;
-      a.tree.graft_partner(b.tree, params_.h - 1, sync, params_.t_h);
-      b.tree.graft_partner(a_before, params_.h - 1, sync, params_.t_h);
-      a.tree.remove_named_subtrees(a.name);
-      b.tree.remove_named_subtrees(b.name);
-      a.tree.age_edges(params_.prune_retention);
-      b.tree.age_edges(params_.prune_retention);
+      history_tree::exchange(a.tree, b.tree, params_.h - 1, sync,
+                             params_.t_h, params_.prune_retention);
       changed = true;
     }
 
     // Protocol 5 lines 2 and 5-9: ghost-name check, roster merge, rank
     // assignment once all n names are collected.
-    if (union_size(a.roster, b.roster) > n_) {
+    const std::size_t united = union_size(a.roster, b.roster);
+    if (united > n_) {
       trigger_pair(a, b);
       return true;
     }
-    std::vector<name_t> merged = roster_union(a.roster, b.roster);
-    if (merged != a.roster || merged != b.roster) changed = true;
-    a.roster = merged;
-    b.roster = std::move(merged);
-    if (a.roster.size() == n_) {
-      const std::uint32_t ra = a.rank;
-      const std::uint32_t rb = b.rank;
-      assign_ranks(a, b);
+    const bool a_grows = united > a.roster.size();
+    const bool b_grows = united > b.roster.size();
+    if (a_grows || b_grows) changed = true;
+    roster_t::unite(a.roster, b.roster, united);
+    if (united == n_) {
+      // A roster the union did not grow keeps the rank found above.
+      const std::uint32_t ra = a_grows ? a.roster.rank_of(a.name) : a_rank;
+      const std::uint32_t rb = b_grows ? b.roster.rank_of(b.name) : b_rank;
       if (a.rank != ra || b.rank != rb) changed = true;
+      a.rank = ra;
+      b.rank = rb;
     }
     return changed;
   }
@@ -175,56 +171,17 @@ bool sublinear_time_ssr::interact(agent_state& a, agent_state& b,
   return true;
 }
 
-void sublinear_time_ssr::assign_ranks(agent_state& a, agent_state& b) const {
-  for (agent_state* i : {&a, &b}) {
-    const auto it =
-        std::lower_bound(i->roster.begin(), i->roster.end(), i->name);
-    SSR_ASSERT(it != i->roster.end() && *it == i->name);
-    i->rank = static_cast<std::uint32_t>(it - i->roster.begin()) + 1;
-  }
-}
-
 std::vector<sublinear_time_ssr::agent_state>
 sublinear_time_ssr::initial_configuration(rng_t& rng) const {
   std::vector<agent_state> config(n_);
   for (agent_state& s : config) {
     s.role = role_t::collecting;
     s.name = random_name(rng, params_.name_bits);
-    s.roster.assign(1, s.name);
+    s.roster = roster_t{s.name};
     s.tree.reset(s.name);
     s.rank = 0;
   }
   return config;
-}
-
-std::size_t union_size(const std::vector<name_t>& a,
-                       const std::vector<name_t>& b) {
-  std::size_t count = 0;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      ++ia;
-      ++ib;
-    }
-    ++count;
-  }
-  count += static_cast<std::size_t>(a.end() - ia);
-  count += static_cast<std::size_t>(b.end() - ib);
-  return count;
-}
-
-std::vector<name_t> roster_union(const std::vector<name_t>& a,
-                                 const std::vector<name_t>& b) {
-  std::vector<name_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
 }
 
 }  // namespace ssr

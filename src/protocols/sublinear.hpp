@@ -39,6 +39,7 @@
 #include "protocols/history_tree.hpp"
 #include "protocols/names.hpp"
 #include "protocols/propagate_reset.hpp"
+#include "protocols/roster.hpp"
 
 namespace ssr {
 
@@ -68,7 +69,7 @@ class sublinear_time_ssr {
     name_t name;
     // Collecting fields.
     std::uint32_t rank = 0;        // write-only output; 0 = not yet set
-    std::vector<name_t> roster;    // sorted, unique; always <= n entries
+    roster_t roster;               // sorted, unique; always <= n entries
     history_tree tree;
     // Resetting fields.
     reset_fields reset;
@@ -122,19 +123,9 @@ class sublinear_time_ssr {
   struct hooks;
 
   void trigger_pair(agent_state& a, agent_state& b) const;
-  void assign_ranks(agent_state& a, agent_state& b) const;
 
   std::uint32_t n_;
   tuning params_;
 };
-
-/// Merged sorted-unique union size without materializing (used for the
-/// ghost-name check |a.roster ∪ b.roster| > n).
-std::size_t union_size(const std::vector<name_t>& a,
-                       const std::vector<name_t>& b);
-
-/// Materialized sorted-unique union.
-std::vector<name_t> roster_union(const std::vector<name_t>& a,
-                                 const std::vector<name_t>& b);
 
 }  // namespace ssr

@@ -6,7 +6,6 @@
 #include "analysis/statistics.hpp"
 #include "obs/exposition.hpp"
 #include "obs/perf_counters.hpp"
-#include "obs/run_info.hpp"
 #include "obs/scenario.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
@@ -119,10 +118,7 @@ obs::bundle_result write_job_bundle(const std::string& dir,
   if (scenario.emit_metrics) {
     artifacts.metrics_prom = obs::prometheus_text(metrics);
   }
-  // obs::git_revision() forks git; a daemon writes a bundle per job.
-  static const std::string git_rev = obs::git_revision();
-  return obs::write_run_bundle(dir, scenario, result, counters, artifacts,
-                               {.git_rev = git_rev});
+  return obs::write_run_bundle(dir, scenario, result, counters, artifacts);
 }
 
 }  // namespace ssr::serve

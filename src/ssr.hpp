@@ -35,6 +35,7 @@
 #include "protocols/names.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/propagate_reset.hpp"
+#include "protocols/roster.hpp"
 #include "protocols/silent_n_state.hpp"
 #include "protocols/state_space.hpp"
 #include "protocols/serialize.hpp"

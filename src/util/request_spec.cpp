@@ -77,7 +77,9 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
   std::uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -142,21 +144,30 @@ void spec_builder::set_engine(std::string_view v) {
   engine_given_ = true;
 }
 
+bool spec_builder::fits_u32(std::string_view field, std::uint64_t v) {
+  if (v <= UINT32_MAX) return true;
+  syntax_errors_.push_back(
+      {std::string(field),
+       "must be at most 4294967295, got " + std::to_string(v)});
+  return false;
+}
+
 void spec_builder::set_shards(std::uint64_t v) {
+  if (!fits_u32("shards", v)) return;
   spec_.engine.shards = static_cast<std::uint32_t>(v);
   shards_given_ = true;
 }
 
 void spec_builder::set_n(std::uint64_t v) {
-  spec_.n = static_cast<std::uint32_t>(v);
+  if (fits_u32("n", v)) spec_.n = static_cast<std::uint32_t>(v);
 }
 
 void spec_builder::set_h(std::uint64_t v) {
-  spec_.h = static_cast<std::uint32_t>(v);
+  if (fits_u32("h", v)) spec_.h = static_cast<std::uint32_t>(v);
 }
 
 void spec_builder::set_t_max(std::uint64_t v) {
-  spec_.t_max = static_cast<std::uint32_t>(v);
+  if (fits_u32("t_max", v)) spec_.t_max = static_cast<std::uint32_t>(v);
 }
 
 void spec_builder::set_trials(std::uint64_t v) { spec_.trials = v; }
@@ -169,7 +180,12 @@ void spec_builder::set_u64_text(std::string_view field,
                                 std::string_view text) {
   const std::optional<std::uint64_t> value = parse_u64(text);
   if (!value) {
-    std::string message = "expected an unsigned integer, got '";
+    const bool digits =
+        !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+          return c >= '0' && c <= '9';
+        });
+    std::string message =
+        digits ? "exceeds 2^64-1, got '" : "expected an unsigned integer, got '";
     message += text;
     message += "'";
     syntax_errors_.push_back({std::string(field), std::move(message)});

@@ -83,7 +83,9 @@ std::span<const std::string_view> scenario_names(std::string_view protocol);
 ///     interactions in a 64-bit count;
 ///   * shards may only be given with engine=sharded, and an explicit
 ///     shards=0 is rejected (omit the field for hardware concurrency) --
-///     nothing is silently clamped or ignored.
+///     nothing is silently clamped or ignored;
+///   * n, h, t_max and shards are 32-bit: a larger value is a field error
+///     when it is set, never a wrapped value.
 class spec_builder {
  public:
   void set_protocol(std::string_view v);
@@ -98,8 +100,8 @@ class spec_builder {
   void set_max_time(double v);
 
   /// Parses `text` as an unsigned integer for `field` ("n", "h", "t_max",
-  /// "trials", "seed", "shards"); records a field error on bad syntax or
-  /// unknown field name.
+  /// "trials", "seed", "shards"); records a field error on bad syntax, a
+  /// value above 2^64-1 or an unknown field name.
   void set_u64_text(std::string_view field, std::string_view text);
   /// Parses `text` as a positive double for max_time.
   void set_max_time_text(std::string_view text);
@@ -123,6 +125,9 @@ class spec_builder {
   bool shards_given_ = false;
   bool scenario_given_ = false;
   std::vector<spec_error> syntax_errors_;
+
+  /// True iff `v` fits a 32-bit field; records the field error otherwise.
+  bool fits_u32(std::string_view field, std::uint64_t v);
 };
 
 /// Per-request telemetry options -- the wire-level "trace" / "profile"
@@ -170,8 +175,8 @@ class telemetry_builder {
   std::vector<spec_error> errors_;
 };
 
-/// Strict unsigned-integer parse (digits only, no sign, no overflow
-/// checking beyond 64 bits); nullopt on anything else.
+/// Strict unsigned-integer parse (digits only, no sign, at most
+/// 2^64-1); nullopt on anything else.
 std::optional<std::uint64_t> parse_u64(std::string_view text);
 
 /// Shared diagnostics (also used for flags outside the spec, e.g. unknown

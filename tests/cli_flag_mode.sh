@@ -175,6 +175,8 @@ bad-values)
 --trace-sample-every --protocol=optimal --n=8 --trace-sample-every=x
 --trace-cap --protocol=optimal --n=8 --trace-cap=-1
 --trace-cap --protocol=optimal --n=8 --trace-cap=18446744073709551617
+n: --protocol=optimal --n=4294967298 --seed=3
+seed: --protocol=optimal --n=8 --seed=18446744073709551616
 --graph=ring --protocol=baseline --n=2 --graph=ring
 --graph=gnp --protocol=optimal --n=30000 --graph=gnp
 graph --protocol=baseline --n=8 --graph=rign

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/scenario.hpp"
 #include "protocols/adversary.hpp"
 
 namespace ssr::util {
@@ -180,6 +181,50 @@ TEST(RequestSpec, ParseU64Golden) {
   EXPECT_EQ(parse_u64("+3"), std::nullopt);
   EXPECT_EQ(parse_u64("1e3"), std::nullopt);
   EXPECT_EQ(parse_u64("12 "), std::nullopt);
+}
+
+// The 32-bit fields never wrap: n=2^32+2 is a field error, not n=2.
+TEST(RequestSpec, ValuesAbove32BitsAreFieldErrors) {
+  for (const char* field : {"n", "h", "t_max", "shards"}) {
+    spec_builder builder;
+    builder.set_u64_text(field, "4294967298");
+    const auto errors = builder.finalize();
+    ASSERT_EQ(errors.size(), 1u) << field << ": " << render_errors(errors);
+    EXPECT_EQ(errors[0], (spec_error{field, "must be at most 4294967295, "
+                                            "got 4294967298"}));
+  }
+  spec_builder widest;
+  widest.set_u64_text("n", "4294967295");
+  EXPECT_EQ(must_finalize(widest).n, 4294967295u);
+}
+
+// Text above 2^64-1 is a field error, not the value mod 2^64.
+TEST(RequestSpec, ValuesAbove64BitsAreFieldErrors) {
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_u64("18446744073709551616"), std::nullopt);
+  spec_builder builder;
+  builder.set_u64_text("seed", "18446744073709551616");
+  const auto errors = builder.finalize();
+  ASSERT_EQ(errors.size(), 1u) << render_errors(errors);
+  EXPECT_EQ(errors[0],
+            (spec_error{"seed", "exceeds 2^64-1, got '18446744073709551616'"}));
+  spec_builder widest;
+  widest.set_u64_text("seed", "18446744073709551615");
+  EXPECT_EQ(must_finalize(widest).seed, UINT64_MAX);
+}
+
+// A scenario document (and the wire, which parses one) reports the same
+// field error as the text path.
+TEST(RequestSpec, ScenarioDocumentRefusesValuesAbove32Bits) {
+  std::vector<spec_error> errors;
+  EXPECT_FALSE(obs::parse_scenario_text(
+                   R"({"schema":"ssr.scenario","schema_version":1,
+                       "name":"wide","protocol":"optimal","n":4294967298})",
+                   &errors)
+                   .has_value());
+  ASSERT_EQ(errors.size(), 1u) << render_errors(errors);
+  EXPECT_EQ(errors[0],
+            (spec_error{"n", "must be at most 4294967295, got 4294967298"}));
 }
 
 TEST(RequestSpec, UnknownNameMessageDropsFarSuggestions) {

@@ -58,6 +58,29 @@ TEST(Serialize, SublinearRoundTripWithTrees) {
   }
 }
 
+// A configuration whose agents share roster objects reads back with the
+// same names in every roster, each agent holding its own object.
+TEST(Serialize, SublinearSharedRostersRoundTrip) {
+  const std::uint32_t n = 8;
+  sublinear_time_ssr p(n, 1u);
+  rng_t rng(5);
+  auto agents = p.initial_configuration(rng);
+  for (int step = 0; step < 300; ++step) {
+    const agent_pair pair = sample_pair(rng, n);
+    p.interact(agents[pair.initiator], agents[pair.responder], rng);
+  }
+  std::size_t sharing = 0;
+  for (std::uint32_t i = 1; i < n; ++i)
+    sharing += agents[i].roster.shares(agents[0].roster) ? 1 : 0;
+  ASSERT_GT(sharing, 0u);
+  const auto parsed = config_from_text(p, to_text(p, agents));
+  ASSERT_EQ(parsed.size(), agents.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(parsed[i].roster.names(), agents[i].roster.names()) << i;
+    EXPECT_FALSE(parsed[i].roster.shares(agents[i].roster)) << i;
+  }
+}
+
 TEST(Serialize, LooseRoundTrip) {
   loose_stabilizing_le p(5, 9);
   std::vector<loose_stabilizing_le::agent_state> config(5);

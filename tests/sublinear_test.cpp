@@ -26,7 +26,7 @@ state_t collecting(const name_t& name) {
   state_t s;
   s.role = role_t::collecting;
   s.name = name;
-  s.roster.assign(1, name);
+  s.roster = roster_t{name};
   s.tree.reset(name);
   return s;
 }
@@ -96,6 +96,47 @@ TEST(Sublinear, GhostNamesTriggerReset) {
   EXPECT_TRUE(p.interact(a, b, rng));
   EXPECT_EQ(a.role, role_t::resetting);
   EXPECT_EQ(b.role, role_t::resetting);
+}
+
+// Agents holding one roster object never see each other's updates: a merge
+// or a reset gives the agent another object, never new names in the shared
+// one.
+TEST(Sublinear, SharedRosterIsNeverMutated) {
+  sublinear_time_ssr p(4, 1u);
+  rng_t rng(1);
+  state_t a = collecting(nm("000000"));
+  state_t b = collecting(nm("000011"));
+  p.interact(a, b, rng);
+  ASSERT_TRUE(a.roster.shares(b.roster));
+  const std::vector<name_t> shared{nm("000000"), nm("000011")};
+  ASSERT_EQ(b.roster.names(), shared);
+
+  state_t c = collecting(nm("110000"));
+  p.interact(a, c, rng);  // a merges with c
+  EXPECT_EQ(a.roster.size(), 3u);
+  EXPECT_EQ(b.roster.names(), shared);
+
+  state_t twin = collecting(nm("000000"));
+  p.interact(a, twin, rng);  // equal names: a resets
+  ASSERT_EQ(a.role, role_t::resetting);
+  EXPECT_TRUE(a.roster.empty());
+  EXPECT_EQ(b.roster.names(), shared);
+  EXPECT_EQ(c.roster.size(), 3u);
+}
+
+// Equal rosters held in two objects end up sharing one, so later merges of
+// the pair cost a pointer compare.
+TEST(Sublinear, EqualRostersShareOneObject) {
+  sublinear_time_ssr p(4, 1u);
+  rng_t rng(1);
+  state_t a = collecting(nm("000000"));
+  state_t b = collecting(nm("000011"));
+  a.roster = {nm("000000"), nm("000011")};
+  b.roster = {nm("000000"), nm("000011")};
+  ASSERT_FALSE(a.roster.shares(b.roster));
+  EXPECT_TRUE(p.interact(a, b, rng));  // the trees changed, not the rosters
+  EXPECT_TRUE(a.roster.shares(b.roster));
+  EXPECT_EQ(a.roster.size(), 2u);
 }
 
 TEST(Sublinear, MissingOwnNameTriggersReset) {
