@@ -33,12 +33,8 @@ bool safe_name(std::string_view name) {
   return true;
 }
 
-}  // namespace
-
-std::span<const std::string_view> scenario_field_names() {
-  return k_scenario_fields;
-}
-
+/// Parses the "trace" field (bool shorthand or options object) into the
+/// builder, recording field errors in the shared formats.
 void parse_trace_json(const json_value& value,
                       util::telemetry_builder& builder,
                       std::vector<util::spec_error>& errors) {
@@ -75,6 +71,12 @@ void parse_trace_json(const json_value& value,
     }
     builder.set_trace_option(name, u.value_or(0));
   }
+}
+
+}  // namespace
+
+std::span<const std::string_view> scenario_field_names() {
+  return k_scenario_fields;
 }
 
 std::optional<scenario_doc> parse_scenario(
@@ -205,20 +207,8 @@ json_value scenario_to_json(const scenario_doc& doc) {
   out["schema_version"] = scenario_schema_version;
   out["name"] = doc.name;
   if (!doc.description.empty()) out["description"] = doc.description;
-  const util::sim_request_spec& spec = doc.spec;
-  out["protocol"] = spec.protocol;
-  out["scenario"] = spec.scenario;
-  out["n"] = static_cast<std::uint64_t>(spec.n);
-  if (spec.protocol == "sublinear")
-    out["h"] = static_cast<std::uint64_t>(spec.h);
-  if (spec.protocol == "loose")
-    out["t_max"] = static_cast<std::uint64_t>(spec.t_max);
-  out["trials"] = spec.trials;
-  out["seed"] = spec.seed;
-  out["max_time"] = spec.max_time;
-  out["engine"] = std::string(to_string(spec.engine.kind));
-  if (spec.engine.kind == engine_kind::sharded)
-    out["shards"] = static_cast<std::uint64_t>(spec.engine.shards);
+  doc.spec.for_each_field(
+      [&out](std::string_view field, auto value) { out[field] = value; });
   if (doc.telemetry.trace) {
     json_value trace = json_value::object();
     trace["enabled"] = true;

@@ -57,13 +57,6 @@ struct scenario_doc {
 /// Valid top-level scenario fields, for diagnostics.
 std::span<const std::string_view> scenario_field_names();
 
-/// Parses the "trace" field (bool shorthand or options object) into the
-/// builder, recording field errors in the shared formats.  parse_scenario
-/// is its only caller; the serve wire reaches it through that.
-void parse_trace_json(const json_value& value,
-                      util::telemetry_builder& builder,
-                      std::vector<util::spec_error>& errors);
-
 /// Parses and validates one scenario document.  On failure returns
 /// nullopt with every field-level error in `errors` (never partially
 /// filled); on success `errors` is left empty.

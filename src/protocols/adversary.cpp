@@ -1,10 +1,12 @@
 #include "protocols/adversary.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "pp/assert.hpp"
 #include "pp/random.hpp"
 #include "protocols/history_tree.hpp"
+#include "protocols/runnable.hpp"
 
 namespace ssr {
 namespace {
@@ -101,6 +103,18 @@ history_tree make_random_tree(rng_t& rng, const name_t& own,
   return out;
 }
 
+/// The name of `scenario`: the entry of D's scenario table that the
+/// enumerator indexes, the table being in enumerator order.
+template <class D, class Scenario>
+std::string scenario_name(Scenario scenario) {
+  // valid_ranking is the last enumerator of both scenario types.
+  static_assert(std::size(D::scenarios) ==
+                static_cast<std::size_t>(Scenario::valid_ranking) + 1);
+  const auto index = static_cast<std::size_t>(scenario);
+  return index < std::size(D::scenarios) ? std::string(D::scenarios[index])
+                                         : "unknown";
+}
+
 std::vector<name_t> sorted_unique(std::vector<name_t> names) {
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
@@ -186,19 +200,7 @@ std::vector<os_state> adversarial_configuration(
 }
 
 std::string to_string(optimal_silent_scenario scenario) {
-  switch (scenario) {
-    case optimal_silent_scenario::uniform_random: return "uniform_random";
-    case optimal_silent_scenario::all_settled_rank_one:
-      return "all_settled_rank_one";
-    case optimal_silent_scenario::no_leader: return "no_leader";
-    case optimal_silent_scenario::all_unsettled_expired:
-      return "all_unsettled_expired";
-    case optimal_silent_scenario::all_dormant_followers:
-      return "all_dormant_followers";
-    case optimal_silent_scenario::duplicated_ranks: return "duplicated_ranks";
-    case optimal_silent_scenario::valid_ranking: return "valid_ranking";
-  }
-  return "unknown";
+  return scenario_name<optimal_protocol>(scenario);
 }
 
 std::vector<sl_state> adversarial_configuration(
@@ -346,31 +348,7 @@ std::vector<sl_state> adversarial_configuration(
 }
 
 std::string to_string(sublinear_scenario scenario) {
-  switch (scenario) {
-    case sublinear_scenario::uniform_random: return "uniform_random";
-    case sublinear_scenario::all_same_name: return "all_same_name";
-    case sublinear_scenario::single_collision: return "single_collision";
-    case sublinear_scenario::ghost_names: return "ghost_names";
-    case sublinear_scenario::missing_own_name: return "missing_own_name";
-    case sublinear_scenario::planted_histories: return "planted_histories";
-    case sublinear_scenario::mid_reset: return "mid_reset";
-    case sublinear_scenario::valid_ranking: return "valid_ranking";
-  }
-  return "unknown";
+  return scenario_name<sublinear_protocol>(scenario);
 }
-
-template <class Scenario>
-std::optional<Scenario> scenario_named(std::string_view name) {
-  // valid_ranking is the last enumerator of both scenario types.
-  for (int s = 0; s <= static_cast<int>(Scenario::valid_ranking); ++s) {
-    if (to_string(static_cast<Scenario>(s)) == name)
-      return static_cast<Scenario>(s);
-  }
-  return std::nullopt;
-}
-
-template std::optional<optimal_silent_scenario> scenario_named(
-    std::string_view);
-template std::optional<sublinear_scenario> scenario_named(std::string_view);
 
 }  // namespace ssr

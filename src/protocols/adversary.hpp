@@ -10,9 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "pp/rng.hpp"
@@ -63,11 +61,5 @@ std::vector<sublinear_time_ssr::agent_state> adversarial_configuration(
     rng_t& rng);
 
 std::string to_string(sublinear_scenario scenario);
-
-/// The inverse of to_string: the scenario whose name is `name`, or nullopt
-/// when no scenario of that type carries it.  Instantiated for
-/// optimal_silent_scenario and sublinear_scenario.
-template <class Scenario>
-std::optional<Scenario> scenario_named(std::string_view name);
 
 }  // namespace ssr

@@ -3,8 +3,10 @@
 #include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "pp/assert.hpp"
+#include "protocols/runnable.hpp"
 
 namespace ssr {
 namespace {
@@ -30,7 +32,7 @@ void write_tree(const tree_node& node, std::ostringstream& os) {
   os << ')';
 }
 
-std::string header(const char* protocol, std::size_t n) {
+std::string header(std::string_view protocol, std::size_t n) {
   std::ostringstream os;
   os << "ssr-config v1 protocol=" << protocol << " n=" << n << '\n';
   return os.str();
@@ -95,13 +97,13 @@ std::vector<std::string> split_lines(const std::string& text) {
 }
 
 std::size_t check_header(const std::vector<std::string>& lines,
-                         const char* protocol, std::uint32_t n) {
+                         std::string_view protocol, std::uint32_t n) {
   if (lines.empty()) fail(1, "empty input");
   const auto tokens = tokens_of(lines[0]);
   if (tokens.size() < 4 || tokens[0] != "ssr-config" || tokens[1] != "v1")
     fail(1, "bad header");
   if (field(tokens, "protocol", 1) != protocol)
-    fail(1, std::string("expected protocol=") + protocol);
+    fail(1, "expected protocol=" + std::string(protocol));
   const std::uint32_t file_n = uint_field(tokens, "n", 1);
   if (file_n != n) fail(1, "population size mismatch");
   if (lines.size() != static_cast<std::size_t>(n) + 1)
@@ -172,7 +174,7 @@ struct tree_parser {
 std::string to_text(const silent_n_state_ssr& p,
                     std::span<const silent_n_state_ssr::agent_state> config) {
   std::ostringstream os;
-  os << header("baseline", config.size());
+  os << header(baseline_protocol::name, config.size());
   for (const auto& s : config) os << "rank=" << s.rank << '\n';
   (void)p;
   return os.str();
@@ -182,7 +184,7 @@ std::vector<silent_n_state_ssr::agent_state> config_from_text(
     const silent_n_state_ssr& p, const std::string& text) {
   const auto lines = split_lines(text);
   const std::uint32_t n = p.population_size();
-  check_header(lines, "baseline", n);
+  check_header(lines, baseline_protocol::name, n);
   std::vector<silent_n_state_ssr::agent_state> config(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const auto tokens = tokens_of(lines[i + 1]);
@@ -197,7 +199,7 @@ std::vector<silent_n_state_ssr::agent_state> config_from_text(
 std::string to_text(const optimal_silent_ssr& p,
                     std::span<const optimal_silent_ssr::agent_state> config) {
   std::ostringstream os;
-  os << header("optimal", config.size());
+  os << header(optimal_protocol::name, config.size());
   for (const auto& s : config) {
     switch (s.role) {
       case optimal_silent_ssr::role_t::settled:
@@ -222,7 +224,7 @@ std::vector<optimal_silent_ssr::agent_state> config_from_text(
     const optimal_silent_ssr& p, const std::string& text) {
   const auto lines = split_lines(text);
   const std::uint32_t n = p.population_size();
-  check_header(lines, "optimal", n);
+  check_header(lines, optimal_protocol::name, n);
   std::vector<optimal_silent_ssr::agent_state> config(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::size_t line = i + 2;
@@ -278,7 +280,7 @@ history_tree tree_from_text(const std::string& text) {
 std::string to_text(const sublinear_time_ssr& p,
                     std::span<const sublinear_time_ssr::agent_state> config) {
   std::ostringstream os;
-  os << header("sublinear", config.size());
+  os << header(sublinear_protocol::name, config.size());
   for (const auto& s : config) {
     if (s.role == sublinear_time_ssr::role_t::collecting) {
       os << "collecting name=" << name_text(s.name) << " rank=" << s.rank
@@ -305,7 +307,7 @@ std::vector<sublinear_time_ssr::agent_state> config_from_text(
     const sublinear_time_ssr& p, const std::string& text) {
   const auto lines = split_lines(text);
   const std::uint32_t n = p.population_size();
-  check_header(lines, "sublinear", n);
+  check_header(lines, sublinear_protocol::name, n);
   std::vector<sublinear_time_ssr::agent_state> config(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::size_t line = i + 2;
@@ -359,7 +361,7 @@ std::vector<sublinear_time_ssr::agent_state> config_from_text(
 std::string to_text(const loose_stabilizing_le& p,
                     std::span<const loose_stabilizing_le::agent_state> config) {
   std::ostringstream os;
-  os << header("loose", config.size());
+  os << header(loose_protocol::name, config.size());
   for (const auto& s : config) {
     os << (s.leader ? "leader" : "follower") << " timer=" << s.timer << '\n';
   }
@@ -371,7 +373,7 @@ std::vector<loose_stabilizing_le::agent_state> config_from_text(
     const loose_stabilizing_le& p, const std::string& text) {
   const auto lines = split_lines(text);
   const std::uint32_t n = p.population_size();
-  check_header(lines, "loose", n);
+  check_header(lines, loose_protocol::name, n);
   std::vector<loose_stabilizing_le::agent_state> config(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::size_t line = i + 2;

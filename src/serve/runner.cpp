@@ -19,14 +19,9 @@ namespace {
 // The spec fields of the canonical scenario document, in its order and
 // with its protocol-irrelevant fields dropped.
 obs::json_value spec_json(const util::sim_request_spec& spec) {
-  obs::scenario_doc scenario;
-  scenario.spec = spec;
-  const obs::json_value canonical = obs::scenario_to_json(scenario);
   obs::json_value doc = obs::json_value::object();
-  for (const auto& [key, value] : canonical.members()) {
-    if (key != "schema" && key != "schema_version" && key != "name")
-      doc[key] = value;
-  }
+  spec.for_each_field(
+      [&doc](std::string_view field, auto value) { doc[field] = value; });
   return doc;
 }
 

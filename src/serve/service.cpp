@@ -113,6 +113,18 @@ service::service(service_options options)
   if (!options_.telemetry_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options_.telemetry_dir, ec);
+    // A restarted daemon numbers its jobs after the highest job-<N> bundle
+    // already in the directory, so no job writes into an old one's bundle.
+    for (std::filesystem::directory_iterator it(options_.telemetry_dir, ec),
+         end;
+         !ec && it != end; it.increment(ec)) {
+      const std::string name = it->path().filename().string();
+      if (name.rfind("job-", 0) != 0) continue;
+      const std::optional<std::uint64_t> id =
+          util::parse_u64(std::string_view(name).substr(4));
+      if (id && *id >= next_request_id_ && *id < UINT64_MAX)
+        next_request_id_ = *id + 1;
+    }
     // A failed open leaves the journal disabled rather than killing the
     // daemon: telemetry persistence is best-effort observability.
     journal_.open(options_.telemetry_dir + "/events.jsonl");

@@ -2,36 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 #include "util/edit_distance.hpp"
 
 namespace ssr::util {
 namespace {
 
-constexpr std::string_view k_protocols[] = {
-    "baseline",
-    "optimal",
-    "sublinear",
-    "loose",
-};
-
 constexpr std::string_view k_engines[] = {"direct", "batched", "sharded"};
-
-constexpr std::string_view k_baseline_scenarios[] = {"uniform_random"};
-
-constexpr std::string_view k_optimal_scenarios[] = {
-    "uniform_random",        "all_settled_rank_one", "no_leader",
-    "all_unsettled_expired", "all_dormant_followers", "duplicated_ranks",
-    "valid_ranking",
-};
-
-constexpr std::string_view k_sublinear_scenarios[] = {
-    "uniform_random", "all_same_name",     "single_collision",
-    "ghost_names",    "missing_own_name",  "planted_histories",
-    "mid_reset",      "valid_ranking",
-};
-
-constexpr std::string_view k_loose_scenarios[] = {"dead_configuration"};
 
 bool contains(std::span<const std::string_view> names, std::string_view v) {
   return std::find(names.begin(), names.end(), v) != names.end();
@@ -62,14 +40,15 @@ std::string render_errors(std::span<const spec_error> errors) {
   return out;
 }
 
-std::span<const std::string_view> protocol_names() { return k_protocols; }
+std::span<const std::string_view> protocol_names() {
+  return runnable_protocols::names;
+}
 
 std::span<const std::string_view> scenario_names(std::string_view protocol) {
-  if (protocol == "baseline") return k_baseline_scenarios;
-  if (protocol == "optimal") return k_optimal_scenarios;
-  if (protocol == "sublinear") return k_sublinear_scenarios;
-  if (protocol == "loose") return k_loose_scenarios;
-  return {};
+  if (!contains(protocol_names(), protocol)) return {};
+  return with_protocol(protocol, [](auto d) {
+    return std::span<const std::string_view>(d.scenarios);
+  });
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view text) {
@@ -101,32 +80,19 @@ std::string unknown_name_message(std::string_view what, std::string_view given,
 }
 
 std::string sim_request_spec::canonical() const {
-  std::string key = "protocol=";
-  key += protocol;
-  key += " scenario=";
-  key += scenario;
-  key += " n=";
-  key += std::to_string(n);
-  if (protocol == "sublinear") {
-    key += " h=";
-    key += std::to_string(h);
-  }
-  if (protocol == "loose") {
-    key += " t_max=";
-    key += std::to_string(t_max);
-  }
-  key += " trials=";
-  key += std::to_string(trials);
-  key += " seed=";
-  key += std::to_string(seed);
-  key += " max_time=";
-  key += format_double(max_time);
-  key += " engine=";
-  key += to_string(engine.kind);
-  if (engine.kind == engine_kind::sharded) {
-    key += " shards=";
-    key += std::to_string(engine.shards);
-  }
+  std::string key;
+  for_each_field([&key](std::string_view field, auto value) {
+    key += key.empty() ? "" : " ";
+    key += field;
+    key += '=';
+    if constexpr (std::is_same_v<decltype(value), std::string_view>) {
+      key += value;
+    } else if constexpr (std::is_same_v<decltype(value), double>) {
+      key += format_double(value);
+    } else {
+      key += std::to_string(value);
+    }
+  });
   return key;
 }
 
@@ -260,23 +226,24 @@ std::vector<spec_error> telemetry_builder::finalize() {
 std::vector<spec_error> spec_builder::finalize() {
   std::vector<spec_error> errors = syntax_errors_;
 
-  const bool protocol_known = contains(k_protocols, spec_.protocol);
-  if (!protocol_known) {
+  std::optional<spec_error> parameter_error;
+  if (!contains(protocol_names(), spec_.protocol)) {
     errors.push_back({"protocol", unknown_name_message("protocol",
                                                        spec_.protocol,
-                                                       k_protocols)});
+                                                       protocol_names())});
   } else {
-    // Protocol-specific scenario default: loose has no uniform_random.
-    if (!scenario_given_ && spec_.protocol == "loose")
-      spec_.scenario = "dead_configuration";
-    const auto scenarios = scenario_names(spec_.protocol);
-    if (!contains(scenarios, spec_.scenario)) {
-      std::string what = spec_.protocol;
-      what += " scenario";
-      errors.push_back(
-          {"scenario",
-           unknown_name_message(what, spec_.scenario, scenarios)});
-    }
+    with_protocol(spec_.protocol, [&](auto d) {
+      if (!scenario_given_) spec_.scenario = d.scenarios[0];
+      if (!contains(d.scenarios, spec_.scenario)) {
+        std::string what = spec_.protocol;
+        what += " scenario";
+        errors.push_back(
+            {"scenario",
+             unknown_name_message(what, spec_.scenario, d.scenarios)});
+      }
+      if (const char* message = d.check(spec_.parameter(d.parameter)))
+        parameter_error = spec_error{std::string(d.parameter), message};
+    });
   }
 
   if (engine_given_) {
@@ -314,8 +281,7 @@ std::vector<spec_error> spec_builder::finalize() {
                                   "interactions (n=" +
                                       std::to_string(spec_.n) + ")"});
   }
-  if (protocol_known && spec_.protocol == "sublinear" && spec_.h == 0)
-    errors.push_back({"h", "sublinear history depth must be at least 1"});
+  if (parameter_error) errors.push_back(*parameter_error);
 
   return errors;
 }

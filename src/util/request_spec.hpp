@@ -14,9 +14,10 @@
 // The canonical() form doubles as the serve layer's cache fingerprint:
 // deterministic seeds make simulation results pure functions of the spec,
 // and canonical() materializes every default and drops fields the selected
-// protocol ignores (h for non-sublinear, t_max for non-loose, shards for
-// non-sharded), so two requests that differ only in field order or in
-// irrelevant fields map to the same cache entry.
+// protocol ignores (h or t_max unless the protocol's descriptor reads it,
+// protocols/runnable.hpp; shards for non-sharded), so two requests that
+// differ only in field order or in irrelevant fields map to the same cache
+// entry.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "pp/engine.hpp"
+#include "protocols/runnable.hpp"
 
 namespace ssr::util {
 
@@ -45,8 +47,8 @@ struct spec_error {
 std::string render_errors(std::span<const spec_error> errors);
 
 struct sim_request_spec {
-  std::string protocol = "optimal";
-  std::string scenario = "uniform_random";
+  std::string protocol{optimal_protocol::name};
+  std::string scenario{optimal_protocol::scenarios[0]};
   std::uint32_t n = 32;
   std::uint32_t h = 1;       // sublinear history depth
   std::uint32_t t_max = 0;   // loose timeout; 0 = 4 log2 n
@@ -60,6 +62,35 @@ struct sim_request_spec {
   /// strings imply bit-identical simulation results (same trajectories,
   /// same samples), which is what makes the serve result cache exact.
   std::string canonical() const;
+
+  /// The value of `field`, the parameter ("h" or "t_max") a protocol's
+  /// descriptor reads besides n.
+  std::uint32_t parameter(std::string_view field) const {
+    return field == "h" ? h : t_max;
+  }
+
+  /// Calls fn(field, value) for each field of the canonical form, in its
+  /// order, leaving out the parameter the protocol's descriptor does not
+  /// read and shards unless engine=sharded.  A value is a
+  /// std::string_view, a std::uint64_t or a double.  canonical() and the
+  /// scenario document (obs::scenario_to_json) both write these fields, so
+  /// they agree.  Requires a runnable protocol.
+  template <class Fn>
+  void for_each_field(Fn&& fn) const {
+    fn("protocol", std::string_view(protocol));
+    fn("scenario", std::string_view(scenario));
+    fn("n", std::uint64_t{n});
+    with_protocol(protocol, [&](auto d) {
+      if (!d.parameter.empty())
+        fn(d.parameter, std::uint64_t{parameter(d.parameter)});
+    });
+    fn("trials", trials);
+    fn("seed", seed);
+    fn("max_time", max_time);
+    fn("engine", to_string(engine.kind));
+    if (engine.kind == engine_kind::sharded)
+      fn("shards", std::uint64_t{engine.shards});
+  }
 
   friend bool operator==(const sim_request_spec&,
                          const sim_request_spec&) = default;
@@ -77,8 +108,10 @@ std::span<const std::string_view> scenario_names(std::string_view protocol);
 /// finalize() then applies the cross-field rules:
 ///
 ///   * protocol and engine names must be known (nearest-name suggestion);
-///   * the scenario must belong to the protocol's scenario set;
-///   * n >= 2, trials >= 1, max_time > 0, h >= 1 for sublinear;
+///   * the scenario must belong to the protocol's scenario set, and an
+///     omitted scenario is the protocol's first;
+///   * n >= 2, trials >= 1, max_time > 0, and the check of the parameter
+///     the protocol reads (sublinear: h >= 1);
 ///   * max_time * n < 2^64, since run loops cap a trial at that many
 ///     interactions in a 64-bit count;
 ///   * shards may only be given with engine=sharded, and an explicit
@@ -105,11 +138,6 @@ class spec_builder {
   void set_u64_text(std::string_view field, std::string_view text);
   /// Parses `text` as a positive double for max_time.
   void set_max_time_text(std::string_view text);
-
-  /// True once any setter recorded a value for `scenario` (front ends use
-  /// this to keep protocol-specific defaults).
-  bool scenario_given() const { return scenario_given_; }
-  bool shards_given() const { return shards_given_; }
 
   /// Runs the cross-field validation; returns all errors in a stable
   /// field order (empty = valid).  Idempotent.

@@ -12,7 +12,8 @@
 #   large-n      optimal at n=1e6 with --max-time=1 exits 1 with "did NOT
 #                stabilize" on direct, batched and sharded(2)
 #   bad-values   malformed or out-of-range flag values are usage errors:
-#                exit 2 with the flag named
+#                exit 2 with the flag named on the `error:` line (the
+#                usage text after it names every flag)
 #
 #   cli_flag_mode.sh <ssr_cli> <case>
 #
@@ -165,7 +166,8 @@ bad-values)
     # shellcheck disable=SC2086
     "$CLI" $args > "$WORK/bad.out" 2>&1 || status=$?
     [ "$status" -eq 2 ] || fail "'$args' exited $status, not 2"
-    grep -q -- "$flag" "$WORK/bad.out" || fail "'$args' does not name $flag"
+    grep '^error: ' "$WORK/bad.out" | grep -qF -- "$flag" ||
+      fail "'$args' does not name $flag on its error: line"
     echo "ok   $args"
   done <<EOF
 --trace-every --protocol=optimal --n=8 --trace-every=abc

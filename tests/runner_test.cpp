@@ -6,12 +6,16 @@
 // trial; and a cancel token that never fires changes no sample on any
 // engine path but the sharded one.  The jump simulator keeps its samples,
 // honours max_time and the token, and traces its real interaction count.
+// Every runnable protocol's listed scenarios build their trial recipes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/engine_counters.hpp"
@@ -24,6 +28,7 @@
 #include "protocols/silent_n_state.hpp"
 #include "serve/request_context.hpp"
 #include "serve/runner.hpp"
+#include "serve/trial_recipe.hpp"
 #include "util/request_spec.hpp"
 
 namespace ssr::serve {
@@ -221,6 +226,45 @@ TEST(Runner, NeverFiredTokenChangesNoSample) {
         << spec.canonical() << " never crossed a burst boundary";
     EXPECT_GT(counter(plain, "interactions_executed"), spec.trials * 1024)
         << spec.canonical() << " never crossed a poll of the jump simulator";
+  }
+}
+
+// Every runnable protocol (protocols/runnable.hpp) and every scenario it
+// names: the trial recipe builds n agents at n = 2, 3 and 8, and
+// spec_builder accepts exactly the listed (protocol, scenario) pairs.
+TEST(TrialRecipe, EveryListedScenarioBuildsNAgents) {
+  std::vector<std::string_view> every_scenario;
+  for (const std::string_view protocol : util::protocol_names()) {
+    const std::span<const std::string_view> names =
+        util::scenario_names(protocol);
+    every_scenario.insert(every_scenario.end(), names.begin(), names.end());
+  }
+  for (const std::string_view protocol : util::protocol_names()) {
+    const std::span<const std::string_view> listed =
+        util::scenario_names(protocol);
+    for (const std::string_view scenario : every_scenario) {
+      util::spec_builder builder;
+      builder.set_protocol(protocol);
+      builder.set_scenario(scenario);
+      EXPECT_EQ(builder.finalize().empty(),
+                std::find(listed.begin(), listed.end(), scenario) !=
+                    listed.end())
+          << protocol << " " << scenario;
+    }
+    for (const std::string_view scenario : listed) {
+      for (const std::uint32_t n : {2u, 3u, 8u}) {
+        util::sim_request_spec spec;
+        spec.protocol = protocol;
+        spec.scenario = scenario;
+        spec.n = n;
+        with_trial_recipe(spec, derive_seed(5, n), [&](auto recipe) {
+          EXPECT_EQ(recipe.protocol.population_size(), n)
+              << protocol << " " << scenario;
+          EXPECT_EQ(recipe.initial.size(), n) << protocol << " " << scenario;
+          return 0;
+        });
+      }
+    }
   }
 }
 

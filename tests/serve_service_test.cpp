@@ -7,11 +7,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/bundle.hpp"
 #include "obs/json.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/result_cache.hpp"
@@ -194,6 +196,31 @@ TEST(ServeService, WrongFieldTypesAndUnknownFieldsAreCaught) {
   EXPECT_NE(
       errors->at(1).find("message")->as_string().find("did you mean protocol"),
       std::string::npos);
+}
+
+TEST(ServeService, RestartNumbersJobsAfterTheBundlesInItsDirectory) {
+  // A daemon restarted on the same telemetry dir continues the job ids
+  // instead of writing a second job-1 into the first daemon's bundle.
+  const std::string dir = testing::TempDir() + "serve_restart_ids";
+  std::filesystem::remove_all(dir);
+  service_options options = fast_options();
+  options.telemetry_dir = dir;
+  {
+    service svc(options);
+    obs::json_value traced = run_request(16, 2, 5);
+    traced["trace"] = true;
+    const obs::json_value response = svc.handle(traced);
+    ASSERT_TRUE(response.find("ok")->as_bool()) << response.dump();
+    EXPECT_EQ(response.find("request_id")->as_string(), "job-1");
+  }
+  service svc(options);
+  const obs::json_value response = svc.handle(run_request(16, 2, 6));
+  ASSERT_TRUE(response.find("ok")->as_bool()) << response.dump();
+  EXPECT_EQ(response.find("request_id")->as_string(), "job-2");
+  for (const char* job : {"/job-1", "/job-2"}) {
+    const obs::manifest_check check = obs::verify_bundle(dir + job);
+    EXPECT_TRUE(check.ok()) << job << ": " << check.problems.front();
+  }
 }
 
 TEST(ServeService, PingPong) {

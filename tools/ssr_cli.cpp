@@ -74,6 +74,7 @@
 #include "pp/engine.hpp"
 #include "pp/graph.hpp"
 #include "protocols/describe.hpp"
+#include "protocols/runnable.hpp"
 #include "protocols/serialize.hpp"
 #include "serve/request_context.hpp"
 #include "serve/runner.hpp"
@@ -203,65 +204,42 @@ constexpr std::uint32_t max_gnp_n = 4096;
   std::exit(2);
 }
 
-constexpr std::pair<std::string_view, std::string_view> protocol_blurbs[] = {
-    {"baseline",
-     "Silent-n-state-SSR (Theta(n^2) time, n states; Table 1 row 1)"},
-    {"optimal", "Optimal-Silent-SSR (O(n) time, O(n) states; Theorem 4.1)"},
-    {"sublinear",
-     "Sublinear-Time-SSR (O(n/2^h polylog n) time; Theorem 5.1)"},
-    {"loose",
-     "loose-stabilizing LE (Theta(log n)-state comparison point)"},
-};
-
-/// --list-protocols; with the bare --json modifier the listing is a
-/// machine-readable document instead of aligned text.
-[[noreturn]] void list_protocols(bool json) {
-  if (!json) {
-    for (const auto& [name, blurb] : protocol_blurbs)
-      std::cout << std::left << std::setw(11) << name << blurb << '\n';
-    std::exit(0);
-  }
-  obs::json_value doc = obs::json_value::object();
-  doc["schema"] = "ssr.protocols";
-  doc["schema_version"] = 1;
-  obs::json_value arr = obs::json_value::array();
-  for (const auto& [name, blurb] : protocol_blurbs) {
+/// --list-protocols (names and summaries) and --list-scenarios (names and
+/// scenario names) of the runnable protocols; with the bare --json
+/// modifier the listing is a versioned document instead of text.
+[[noreturn]] void list(bool scenarios, bool json) {
+  // Summaries start two columns after the longest name.
+  int width = 0;
+  for (const std::string_view name : util::protocol_names())
+    width = std::max(width, static_cast<int>(name.size()) + 2);
+  obs::json_value protocols = obs::json_value::array();
+  for (const std::string_view name : util::protocol_names()) {
     obs::json_value item = obs::json_value::object();
     item["name"] = std::string(name);
-    item["description"] = std::string(blurb);
-    arr.push_back(std::move(item));
+    with_protocol(name, [&](auto d) {
+      if (!scenarios) {
+        item["description"] = std::string(d.summary);
+        if (!json)
+          std::cout << std::left << std::setw(width) << name << d.summary;
+        return;
+      }
+      obs::json_value names = obs::json_value::array();
+      if (!json) std::cout << name << ':';
+      for (const std::string_view scenario : d.scenarios) {
+        names.push_back(std::string(scenario));
+        if (!json) std::cout << ' ' << scenario;
+      }
+      item["scenarios"] = std::move(names);
+    });
+    if (!json) std::cout << '\n';
+    protocols.push_back(std::move(item));
   }
-  doc["protocols"] = std::move(arr);
-  std::cout << doc.dump(2) << '\n';
-  std::exit(0);
-}
-
-[[noreturn]] void list_scenarios(bool json) {
-  // One source of truth for names: the shared request-spec tables the
-  // benches and ssr_serve validate against (util/request_spec.hpp).
   if (json) {
     obs::json_value doc = obs::json_value::object();
-    doc["schema"] = "ssr.scenarios";
+    doc["schema"] = scenarios ? "ssr.scenarios" : "ssr.protocols";
     doc["schema_version"] = 1;
-    obs::json_value arr = obs::json_value::array();
-    for (const std::string_view protocol : util::protocol_names()) {
-      obs::json_value item = obs::json_value::object();
-      item["name"] = std::string(protocol);
-      obs::json_value names = obs::json_value::array();
-      for (const std::string_view name : util::scenario_names(protocol))
-        names.push_back(std::string(name));
-      item["scenarios"] = std::move(names);
-      arr.push_back(std::move(item));
-    }
-    doc["protocols"] = std::move(arr);
+    doc["protocols"] = std::move(protocols);
     std::cout << doc.dump(2) << '\n';
-    std::exit(0);
-  }
-  for (const std::string_view protocol : util::protocol_names()) {
-    std::cout << protocol << ':';
-    for (const std::string_view name : util::scenario_names(protocol))
-      std::cout << ' ' << name;
-    std::cout << '\n';
   }
   std::exit(0);
 }
@@ -317,8 +295,8 @@ options parse(int argc, char** argv) {
       return std::nullopt;
     };
     if (arg == "--help" || arg == "-h") usage();
-    if (arg == "--list-protocols") list_protocols(json_list);
-    if (arg == "--list-scenarios") list_scenarios(json_list);
+    if (arg == "--list-protocols") list(false, json_list);
+    if (arg == "--list-scenarios") list(true, json_list);
     if (arg == "--json")
       usage("--json needs a value (--json=<file>); the bare flag is only a "
             "modifier for --list-protocols/--list-scenarios");
@@ -443,8 +421,10 @@ options parse(int argc, char** argv) {
     if (opt.spec.engine.kind != engine_kind::direct)
       usage("--engine=" + std::string(to_string(opt.spec.engine.kind)) +
             " requires --graph=complete");
-    if (opt.spec.protocol == "sublinear")
-      usage("sublinear runs on the complete graph only");
+    with_protocol(opt.spec.protocol, [](auto d) {
+      if (d.complete_graph_only)
+        usage(std::string(d.name) + " runs on the complete graph only");
+    });
   }
   return opt;
 }
