@@ -299,62 +299,10 @@ void run_sublinear(std::uint32_t n, std::uint32_t h, lint_context& ctx) {
   // adversarial scenario, and stabilization as bounded-time convergence to
   // a valid ranking (the protocol is self-stabilizing, so every legal
   // starting configuration must converge).
-  const auto validate_tree =
-      [&t](const history_tree& tree) -> std::optional<std::string> {
-    for (const history_tree::entry& e : tree.entries()) {
-      if (e.sync < 1 || e.sync > t.s_max) {
-        return "history-tree edge sync " + std::to_string(e.sync) +
-               " outside {1.." + std::to_string(t.s_max) + "}";
-      }
-      if (e.timer > t.t_h) {
-        return "history-tree edge timer " + std::to_string(e.timer) +
-               " exceeds T_H=" + std::to_string(t.t_h);
-      }
-    }
-    return std::nullopt;
-  };
-  // Structural legality of the *declared* space: what adversarial starting
-  // states may look like.  Rosters may exceed n here -- ghost names are
-  // exactly the error the protocol detects -- but see `validate` below.
   const auto initial_validate =
-      [&](const sublinear_time_ssr::agent_state& s)
-      -> std::optional<std::string> {
-    if (s.name.length() > t.name_bits) {
-      return "name of " + std::to_string(s.name.length()) +
-             " bits exceeds name_bits=" + std::to_string(t.name_bits);
-    }
-    if (s.role == sublinear_time_ssr::role_t::collecting) {
-      if (s.rank > n) {
-        return "rank " + std::to_string(s.rank) + " outside {0.." +
-               std::to_string(n) + "}";
-      }
-      if (!std::is_sorted(s.roster.begin(), s.roster.end()) ||
-          std::adjacent_find(s.roster.begin(), s.roster.end()) !=
-              s.roster.end()) {
-        return std::string("roster is not sorted-unique");
-      }
-      if (s.tree.depth() > t.h) {
-        return "history tree depth " + std::to_string(s.tree.depth()) +
-               " exceeds H=" + std::to_string(t.h);
-      }
-      if (!s.tree.simply_labelled()) {
-        return std::string("history tree is not simply labelled");
-      }
-      if (!(s.tree.root_name() == s.name)) {
-        return std::string("history tree root not labelled with own name");
-      }
-      return validate_tree(s.tree);
-    }
-    if (s.reset.resetcount > t.r_max) {
-      return "resetcount " + std::to_string(s.reset.resetcount) +
-             " exceeds R_max=" + std::to_string(t.r_max);
-    }
-    if (s.reset.delaytimer > t.d_max) {
-      return "delaytimer " + std::to_string(s.reset.delaytimer) +
-             " exceeds D_max=" + std::to_string(t.d_max);
-    }
-    return std::nullopt;
-  };
+      [&p](const sublinear_time_ssr::agent_state& s) {
+        return sublinear_state_violation(p, s);
+      };
   // The tighter invariant every *produced* state satisfies: a merge either
   // stays within n names or trips the ghost check and resets, so an
   // oversized roster can only enter a run through the adversary.
@@ -626,6 +574,57 @@ std::vector<protocol_entry> build_registry() {
 }
 
 }  // namespace
+
+std::optional<std::string> sublinear_state_violation(
+    const sublinear_time_ssr& p, const sublinear_time_ssr::agent_state& s) {
+  const std::uint32_t n = p.population_size();
+  const sublinear_time_ssr::tuning& t = p.params();
+  if (s.name.length() > t.name_bits) {
+    return "name of " + std::to_string(s.name.length()) +
+           " bits exceeds name_bits=" + std::to_string(t.name_bits);
+  }
+  if (s.role == sublinear_time_ssr::role_t::collecting) {
+    if (s.rank > n) {
+      return "rank " + std::to_string(s.rank) + " outside {0.." +
+             std::to_string(n) + "}";
+    }
+    if (!std::is_sorted(s.roster.begin(), s.roster.end()) ||
+        std::adjacent_find(s.roster.begin(), s.roster.end()) !=
+            s.roster.end()) {
+      return std::string("roster is not sorted-unique");
+    }
+    if (s.tree.depth() > t.h) {
+      return "history tree depth " + std::to_string(s.tree.depth()) +
+             " exceeds H=" + std::to_string(t.h);
+    }
+    if (!s.tree.simply_labelled()) {
+      return std::string("history tree is not simply labelled");
+    }
+    if (!(s.tree.root_name() == s.name)) {
+      return std::string("history tree root not labelled with own name");
+    }
+    for (const history_tree::live_entry& e : s.tree.entries()) {
+      if (e.sync < 1 || e.sync > t.s_max) {
+        return "history-tree edge sync " + std::to_string(e.sync) +
+               " outside {1.." + std::to_string(t.s_max) + "}";
+      }
+      if (e.timer > t.t_h) {
+        return "history-tree edge timer " + std::to_string(e.timer) +
+               " exceeds T_H=" + std::to_string(t.t_h);
+      }
+    }
+    return std::nullopt;
+  }
+  if (s.reset.resetcount > t.r_max) {
+    return "resetcount " + std::to_string(s.reset.resetcount) +
+           " exceeds R_max=" + std::to_string(t.r_max);
+  }
+  if (s.reset.delaytimer > t.d_max) {
+    return "delaytimer " + std::to_string(s.reset.delaytimer) +
+           " exceeds D_max=" + std::to_string(t.d_max);
+  }
+  return std::nullopt;
+}
 
 const std::vector<protocol_entry>& lint_registry() {
   static const std::vector<protocol_entry> registry = build_registry();

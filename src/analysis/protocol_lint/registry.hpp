@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/protocol_lint/checks.hpp"
+#include "protocols/sublinear.hpp"
 #include "verify/model_check/model_check.hpp"
 
 namespace ssr::lint {
@@ -70,5 +71,13 @@ const protocol_entry* find_protocol(std::string_view name);
 /// All registry names in order (visible only unless include_hidden), for
 /// --list and the nearest-name suggestion on unknown protocols.
 std::vector<std::string> registry_names(bool include_hidden);
+
+/// Structural legality of a Sublinear-Time-SSR agent in the *declared*
+/// space -- what adversarial starting states may look like -- as the
+/// sublinear entries check it: a violation message, or nullopt.  Rosters
+/// may exceed n here; ghost names are exactly the error the protocol
+/// detects.
+std::optional<std::string> sublinear_state_violation(
+    const sublinear_time_ssr& p, const sublinear_time_ssr::agent_state& s);
 
 }  // namespace ssr::lint

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <span>
@@ -113,21 +114,35 @@ service::service(service_options options)
   if (!options_.telemetry_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options_.telemetry_dir, ec);
-    // A restarted daemon numbers its jobs after the highest job-<N> bundle
-    // already in the directory, so no job writes into an old one's bundle.
+    // A restarted daemon numbers its jobs after the highest job-<N> among
+    // the bundles already in the directory and the request ids in its
+    // journal (cache hits, rejections, cancelled and failed jobs write no
+    // bundle), so no id is spent twice.
+    const auto spent = [this](std::string_view id) {
+      if (id.rfind("job-", 0) != 0) return;
+      const std::optional<std::uint64_t> n = util::parse_u64(id.substr(4));
+      if (n && *n >= next_request_id_ && *n < UINT64_MAX)
+        next_request_id_ = *n + 1;
+    };
     for (std::filesystem::directory_iterator it(options_.telemetry_dir, ec),
          end;
          !ec && it != end; it.increment(ec)) {
-      const std::string name = it->path().filename().string();
-      if (name.rfind("job-", 0) != 0) continue;
-      const std::optional<std::uint64_t> id =
-          util::parse_u64(std::string_view(name).substr(4));
-      if (id && *id >= next_request_id_ && *id < UINT64_MAX)
-        next_request_id_ = *id + 1;
+      spent(it->path().filename().string());
+    }
+    const std::string journal_path = options_.telemetry_dir + "/events.jsonl";
+    {
+      std::ifstream events(journal_path);
+      for (std::string line; std::getline(events, line);) {
+        const std::optional<obs::json_value> event =
+            obs::json_value::parse(line);
+        const obs::json_value* id =
+            event && event->is_object() ? event->find("request_id") : nullptr;
+        if (id != nullptr && id->is_string()) spent(id->as_string());
+      }
     }
     // A failed open leaves the journal disabled rather than killing the
     // daemon: telemetry persistence is best-effort observability.
-    journal_.open(options_.telemetry_dir + "/events.jsonl");
+    journal_.open(journal_path);
   }
 }
 

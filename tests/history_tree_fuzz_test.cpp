@@ -235,6 +235,12 @@ std::string to_text(const tree_node& node) {
 
 }  // namespace reference
 
+std::size_t node_count(const tree_node& node) {
+  std::size_t count = 1;
+  for (const tree_edge& e : node.edges) count += node_count(e.child);
+  return count;
+}
+
 /// One soup three ways: the flat tree through history_tree::exchange (the
 /// protocol's path), the flat tree through the separate graft / scrub / age
 /// steps, and the nested reference.
@@ -245,14 +251,23 @@ struct reference_soup {
   std::vector<history_tree> exchanged;
   std::vector<history_tree> stepped;
   std::vector<tree_node> nested;
+  std::size_t pruned = 0;  // meets in which the reference's aging pruned
 
+  /// Agent i starts from `start[i]`, or from its singleton tree.
   reference_soup(std::uint32_t depth, std::uint32_t timer,
-                 std::int64_t prune_retention)
+                 std::int64_t prune_retention,
+                 std::vector<tree_node> start = {})
       : h(depth), t_h(timer), retention(prune_retention) {
     for (std::uint32_t i = 0; i < soup::kAgents; ++i) {
-      exchanged.emplace_back(make_name(i));
-      stepped.emplace_back(make_name(i));
-      nested.push_back(tree_node{make_name(i), {}});
+      if (i < start.size()) {
+        exchanged.push_back(history_tree::adopt(start[i]));
+        stepped.push_back(history_tree::adopt(start[i]));
+        nested.push_back(start[i]);
+      } else {
+        exchanged.emplace_back(make_name(i));
+        stepped.emplace_back(make_name(i));
+        nested.push_back(tree_node{make_name(i), {}});
+      }
     }
   }
 
@@ -273,24 +288,20 @@ struct reference_soup {
     reference::graft(nested[j], nested_before_i, h - 1, sync, t_h);
     reference::scrub(nested[i], nested[i].name);
     reference::scrub(nested[j], nested[j].name);
+    const std::size_t before = node_count(nested[i]) + node_count(nested[j]);
     reference::age(nested[i], retention);
     reference::age(nested[j], retention);
+    if (node_count(nested[i]) + node_count(nested[j]) < before) ++pruned;
   }
 };
 
-class HistoryTreeReference
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t, int>> {};
-
-// After every meet both flat paths render exactly the reference's tree, and
-// Protocol 7's scan agrees with the reference for every ordered pair of
-// agents -- honest partners, and impostors carrying one agent's name with
-// another agent's tree, so inconsistent histories occur too.
-TEST_P(HistoryTreeReference, FlatTreeMatchesNestedReference) {
-  const auto [h, retention] = GetParam();
-  reference_soup world(h, /*timer=*/12, retention);
-  rng_t rng(derive_seed(77 + h, static_cast<std::uint64_t>(retention + 1)));
+/// Runs `steps` random meets.  After each, both flat paths render exactly
+/// the reference's tree, and Protocol 7's scan agrees with the reference for
+/// every ordered pair of agents -- honest partners, and impostors carrying
+/// one agent's name with another agent's tree, so inconsistent histories
+/// occur too.
+void replay(reference_soup& world, rng_t& rng, int steps) {
   const std::uint32_t n = soup::kAgents;
-  const int steps = retention < 0 && h == 3 ? 250 : 600;
   for (int step = 0; step < steps; ++step) {
     const auto i = static_cast<std::uint32_t>(uniform_below(rng, n));
     auto j = static_cast<std::uint32_t>(uniform_below(rng, n - 1));
@@ -323,9 +334,143 @@ TEST_P(HistoryTreeReference, FlatTreeMatchesNestedReference) {
   }
 }
 
+class HistoryTreeReference
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, int>> {};
+
+// Every retention that can prune does prune inside the soup, so the
+// clock-driven pruning is compared against the reference's countdown.
+TEST_P(HistoryTreeReference, FlatTreeMatchesNestedReference) {
+  const auto [h, retention] = GetParam();
+  reference_soup world(h, /*timer=*/12, retention);
+  rng_t rng(derive_seed(77 + h, static_cast<std::uint64_t>(retention + 1)));
+  replay(world, rng, retention < 0 && h == 3 ? 250 : 600);
+  if (retention >= 0) {
+    EXPECT_GT(world.pruned, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, HistoryTreeReference,
                          ::testing::Combine(::testing::Values(1u, 2u, 3u),
                                             ::testing::Values(12, -1)));
+INSTANTIATE_TEST_SUITE_P(Pruning, HistoryTreeReference,
+                         ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                                            ::testing::Values(2)));
+
+/// A random tree of depth at most `depth` below `agent`'s root, over the
+/// soup's names with repeats allowed, plus a depth-1 edge to the root's own
+/// name and two depth-1 edges to one other name: shapes only adopt()
+/// produces, which the general compaction handles.
+tree_node unclean_tree(rng_t& rng, std::uint32_t agent, std::uint32_t depth) {
+  const auto random_below = [&rng](const name_t& name, std::uint32_t levels,
+                                   const auto& self) -> tree_node {
+    tree_node node{name, {}};
+    if (levels == 0) return node;
+    const auto children = uniform_below(rng, 3);
+    for (std::uint64_t c = 0; c < children; ++c) {
+      tree_edge e;
+      e.sync = static_cast<std::uint32_t>(1 + uniform_below(rng, 100));
+      e.timer = static_cast<std::uint32_t>(uniform_below(rng, 13));
+      e.expired_for = static_cast<std::uint32_t>(uniform_below(rng, 4));
+      e.child = self(make_name(static_cast<std::uint32_t>(
+                         uniform_below(rng, soup::kAgents))),
+                     levels - 1, self);
+      node.edges.push_back(std::move(e));
+    }
+    return node;
+  };
+  tree_node root = random_below(make_name(agent), depth, random_below);
+  const name_t twice = make_name((agent + 1) % soup::kAgents);
+  for (const name_t& name : {make_name(agent), twice, twice}) {
+    tree_edge e;
+    e.sync = static_cast<std::uint32_t>(1 + uniform_below(rng, 100));
+    e.timer = static_cast<std::uint32_t>(1 + uniform_below(rng, 12));
+    e.child = random_below(name, depth - 1, random_below);
+    root.edges.push_back(std::move(e));
+  }
+  return root;
+}
+
+// Adopted trees with own-name entries and duplicate depth-1 names start
+// the soup: both flat paths and the scans take the general route until the
+// trees are clean, and still match the reference throughout.
+TEST(HistoryTreeReference, AdoptedUncleanTreesMatchNestedReference) {
+  for (const std::uint32_t h : {1u, 2u, 3u}) {
+    SCOPED_TRACE("H=" + std::to_string(h));
+    rng_t rng(derive_seed(555, h));
+    std::vector<tree_node> start;
+    for (std::uint32_t i = 0; i < soup::kAgents; ++i)
+      start.push_back(unclean_tree(rng, i, h));
+    reference_soup world(h, /*timer=*/12, /*prune_retention=*/4, start);
+    for (std::uint32_t i = 0; i < soup::kAgents; ++i) {
+      ASSERT_FALSE(world.exchanged[i].simply_labelled());
+      ASSERT_EQ(tree_to_text(world.exchanged[i]),
+                reference::to_text(world.nested[i]));
+    }
+    replay(world, rng, 300);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(world.pruned, 0u);
+  }
+}
+
+// One soup aged under changing retentions: each change recomputes the
+// earliest prune time, and a negative retention stops pruning.
+TEST(HistoryTreeReference, RetentionChangesMidRun) {
+  for (const std::uint32_t h : {1u, 2u, 3u}) {
+    SCOPED_TRACE("H=" + std::to_string(h));
+    reference_soup world(h, /*timer=*/8, /*prune_retention=*/30);
+    rng_t rng(derive_seed(909, h));
+    for (const std::int64_t retention : {30, 1, -1, 6, 0}) {
+      SCOPED_TRACE("retention " + std::to_string(retention));
+      world.retention = retention;
+      const std::size_t pruned = world.pruned;
+      replay(world, rng, 150);
+      if (HasFatalFailure()) return;
+      if (retention < 0) {
+        EXPECT_EQ(world.pruned, pruned);
+      } else if (retention < 8) {
+        EXPECT_GT(world.pruned, pruned);
+      }
+    }
+  }
+}
+
+// A tree whose clock has run writes the nested writer's bytes, reads back
+// to the same bytes, and the copy read back (its clock at 0) evolves
+// exactly like the original.
+TEST(HistoryTreeReference, TextRoundTripAtANonzeroClock) {
+  for (const std::uint32_t h : {1u, 2u, 3u}) {
+    SCOPED_TRACE("H=" + std::to_string(h));
+    reference_soup world(h, /*timer=*/12, /*prune_retention=*/5);
+    rng_t rng(derive_seed(313, h));
+    replay(world, rng, 400);
+    if (HasFatalFailure()) return;
+    std::vector<history_tree> reread;
+    for (std::uint32_t i = 0; i < soup::kAgents; ++i) {
+      const std::string text = tree_to_text(world.exchanged[i]);
+      ASSERT_EQ(text, reference::to_text(world.nested[i]));
+      reread.push_back(tree_from_text(text));
+      ASSERT_EQ(tree_to_text(reread.back()), text);
+    }
+    for (int step = 0; step < 200; ++step) {
+      const auto i =
+          static_cast<std::uint32_t>(uniform_below(rng, soup::kAgents));
+      auto j =
+          static_cast<std::uint32_t>(uniform_below(rng, soup::kAgents - 1));
+      if (j >= i) ++j;
+      const auto sync =
+          static_cast<std::uint32_t>(1 + uniform_below(rng, 100));
+      history_tree::exchange(world.exchanged[i], world.exchanged[j], h - 1,
+                             sync, world.t_h, world.retention);
+      history_tree::exchange(reread[i], reread[j], h - 1, sync, world.t_h,
+                             world.retention);
+      for (const std::uint32_t agent : {i, j}) {
+        ASSERT_EQ(tree_to_text(reread[agent]),
+                  tree_to_text(world.exchanged[agent]))
+            << "agent " << agent << " step " << step;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ssr

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "analysis/protocol_lint/lint.hpp"
+#include "analysis/protocol_lint/registry.hpp"
+#include "protocols/history_tree.hpp"
 
 namespace ssr::lint {
 namespace {
@@ -243,6 +245,41 @@ TEST(ProtocolLintReport, NotesAreNeverViolations) {
   const lint_report report = lint_one("loose");
   EXPECT_GT(report.notes, 0u);  // leaf states only deserialization reaches
   EXPECT_TRUE(report.passed(/*strict=*/true));
+}
+
+// The sublinear entries read each history-tree timer as the tree computes
+// it from its clock: an adopted edge above T_H is flagged at once, and an
+// edge adopted at T_H + 2 is flagged at T_H + 1 after one aging and clean
+// after a second.
+TEST(ProtocolLintSublinear, TreeTimerAboveTHIsFlaggedThroughTheClock) {
+  const sublinear_time_ssr p(8, 1);
+  const std::uint32_t t_h = p.params().t_h;
+  rng_t rng(3);
+  std::vector<sublinear_time_ssr::agent_state> config =
+      p.initial_configuration(rng);
+  sublinear_time_ssr::agent_state& s = config[0];
+  const auto adopt_edge = [&](std::uint32_t timer) {
+    tree_node root{s.name, {}};
+    tree_edge& edge = root.edges.emplace_back();
+    edge.sync = 1;
+    edge.timer = timer;
+    edge.child.name = config[1].name;
+    s.tree = history_tree::adopt(root);
+  };
+  const std::string over = "timer " + std::to_string(t_h + 1) + " exceeds";
+
+  adopt_edge(t_h + 1);
+  std::optional<std::string> violation = sublinear_state_violation(p, s);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_NE(violation->find(over), std::string::npos) << *violation;
+
+  adopt_edge(t_h + 2);
+  s.tree.age_edges(/*prune_retention=*/-1);
+  violation = sublinear_state_violation(p, s);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_NE(violation->find(over), std::string::npos) << *violation;
+  s.tree.age_edges(/*prune_retention=*/-1);
+  EXPECT_EQ(sublinear_state_violation(p, s), std::nullopt);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 // clients hammering one service from parallel threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -221,6 +223,39 @@ TEST(ServeService, RestartNumbersJobsAfterTheBundlesInItsDirectory) {
     const obs::manifest_check check = obs::verify_bundle(dir + job);
     EXPECT_TRUE(check.ok()) << job << ": " << check.problems.front();
   }
+}
+
+TEST(ServeService, RestartSkipsIdsSpentWithoutABundle) {
+  // A cache hit spends an id but writes no bundle; the journal remembers
+  // it, so a restarted daemon does not hand it out again.
+  const std::string dir = testing::TempDir() + "serve_restart_journal_ids";
+  std::filesystem::remove_all(dir);
+  service_options options = fast_options();
+  options.telemetry_dir = dir;
+  {
+    service svc(options);
+    const obs::json_value request = run_request(16, 2, 5);
+    ASSERT_TRUE(svc.handle(request).find("ok")->as_bool());
+    const obs::json_value replay = svc.handle(request);
+    ASSERT_TRUE(replay.find("cached")->as_bool()) << replay.dump();
+    EXPECT_EQ(replay.find("request_id")->as_string(), "job-2");
+  }
+  std::vector<std::string> spent;
+  {
+    std::ifstream events(dir + "/events.jsonl");
+    for (std::string line; std::getline(events, line);) {
+      const obs::json_value event = *obs::json_value::parse(line);
+      if (const obs::json_value* id = event.find("request_id"))
+        spent.push_back(id->as_string());
+    }
+  }
+  ASSERT_NE(std::find(spent.begin(), spent.end(), "job-2"), spent.end());
+  service svc(options);
+  const obs::json_value response = svc.handle(run_request(16, 2, 6));
+  ASSERT_TRUE(response.find("ok")->as_bool()) << response.dump();
+  const std::string& id = response.find("request_id")->as_string();
+  EXPECT_EQ(id, "job-3");
+  EXPECT_EQ(std::find(spent.begin(), spent.end(), id), spent.end()) << id;
 }
 
 TEST(ServeService, PingPong) {

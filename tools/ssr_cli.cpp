@@ -262,8 +262,11 @@ options parse(int argc, char** argv) {
   // Bare --json is the machine-readable modifier for the list modes; it
   // may appear on either side of the list flag, so pre-scan.
   bool json_list = false;
+  bool listing = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json") json_list = true;
+    const std::string_view arg = argv[i];
+    if (arg == "--json") json_list = true;
+    if (arg == "--list-protocols" || arg == "--list-scenarios") listing = true;
   }
   // Spec-shaped flags (protocol, scenario, n, h, t-max, seed, max-time,
   // engine, shards) funnel through the shared builder so the CLI rejects
@@ -297,6 +300,7 @@ options parse(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") usage();
     if (arg == "--list-protocols") list(false, json_list);
     if (arg == "--list-scenarios") list(true, json_list);
+    if (arg == "--json" && listing) continue;  // a later list flag's modifier
     if (arg == "--json")
       usage("--json needs a value (--json=<file>); the bare flag is only a "
             "modifier for --list-protocols/--list-scenarios");
