@@ -1,8 +1,7 @@
 // E15 -- head-to-head engine throughput: simulated interactions per second
 // of the direct and batched engines on Silent-n-state-SSR and
 // Optimal-Silent-SSR at n = 10^3 .. 10^6 and on Sublinear-Time-SSR at small
-// (n, H), plus a shard-count sweep of the sharded multi-threaded engine at
-// n = 10^6 .. 10^8.
+// (n, H).
 //
 // The quantity that matters for experiment sizing is *simulated*
 // interactions per wall-clock second: the batched engine advances the same
@@ -31,7 +30,6 @@
 #include "analysis/table.hpp"
 #include "common.hpp"
 #include "pp/engine.hpp"
-#include "pp/sharded_scheduler.hpp"
 #include "protocols/adversary.hpp"
 #include "protocols/optimal_silent.hpp"
 #include "protocols/silent_n_state.hpp"
@@ -63,15 +61,8 @@ double interactions_per_second(MakeEngine make, double budget_seconds) {
   double elapsed = 0.0;
   while (elapsed < budget_seconds) {
     const std::uint64_t before = eng.interactions();
-    // Engines that expose a threaded mode (the sharded engine) are measured
-    // through it -- that is the mode whose throughput this bench exists to
-    // record; hooked run() is its sequential twin.
-    if constexpr (requires { eng.run_parallel(std::uint64_t{}); }) {
-      eng.run_parallel(before + chunk);
-    } else {
-      eng.run(before + chunk, [](const agent_pair&) {},
-              [](const agent_pair&, bool) { return false; });
-    }
+    eng.run(before + chunk, [](const agent_pair&) {},
+            [](const agent_pair&, bool) { return false; });
     const double chunk_seconds = seconds_since(start) - elapsed;
     elapsed += chunk_seconds;
     if (eng.quiescent()) {
@@ -147,65 +138,6 @@ void scaling_table(reporter& rep, const char* protocol, const char* params,
   t.print(std::cout);
 }
 
-/// Shard-count sweep of the sharded engine, with the batched engine's rate
-/// on the same configurations as the single-core yardstick.  Every sharded
-/// interaction is executed (no null elision), so its column is raw executed
-/// throughput; interactions_per_second_per_core divides by the worker
-/// threads actually used, the number report_trend tracks across revisions.
-template <class P, class MakeConfig>
-void sharded_scaling_table(reporter& rep, const char* protocol,
-                           const char* scenario, const char* title,
-                           MakeConfig make_config, double budget_seconds,
-                           std::uint64_t max_n) {
-  std::cout << "\n" << title << ", sharded engine sweep (time box "
-            << format_fixed(budget_seconds, 1) << " s per cell):\n";
-  text_table t({"n", "shards", "threads", "sharded inter/s", "per core",
-                "vs batched"});
-  std::vector<std::uint32_t> sizes = {1'000'000u, 10'000'000u};
-  if (max_n >= 100'000'000ull) sizes.push_back(100'000'000u);
-  for (const std::uint32_t n : sizes) {
-    std::uint64_t seed = 9500 + n;
-    const auto batched_rate = interactions_per_second(
-        [&] {
-          P p(n);
-          rng_t rng(++seed);
-          auto init = make_config(p, rng);
-          return batched_engine<P>(p, std::move(init), ++seed);
-        },
-        budget_seconds);
-    const std::string params = std::string("scenario=") + scenario;
-    rep.add_value("engine_rate", "batched_interactions_per_second", protocol,
-                  n, params, batched_rate, "interactions/s");
-    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      const auto make = [&] {
-        P p(n);
-        rng_t rng(++seed);
-        auto init = make_config(p, rng);
-        return sharded_engine<P>(p, std::move(init), ++seed,
-                                 {.shards = shards});
-      };
-      std::uint32_t threads = 1;
-      {
-        auto probe = make();
-        threads = probe.thread_count();
-      }
-      const auto rate = interactions_per_second(make, budget_seconds);
-      const double per_core = rate / static_cast<double>(threads);
-      t.add_row({std::to_string(n), std::to_string(shards),
-                 std::to_string(threads), format_count(rate),
-                 format_count(per_core),
-                 format_fixed(rate / batched_rate, 1) + "x"});
-      const std::string shard_params =
-          params + " shards=" + std::to_string(shards);
-      rep.add_value("engine_rate", "sharded_interactions_per_second", protocol,
-                    n, shard_params, rate, "interactions/s");
-      rep.add_value("engine_rate", "interactions_per_second_per_core",
-                    protocol, n, shard_params, per_core, "interactions/s");
-    }
-  }
-  t.print(std::cout);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -216,8 +148,7 @@ int main(int argc, char** argv) {
   const bench_args args = parse_bench_args(argc, argv);
   reporter rep(args, "E15", "Engine scaling: simulated interactions/sec");
   std::cout << "(this bench always measures every engine; --engine selects "
-               "nothing here.\n --max-n=100000000 extends the sharded sweep "
-               "to n = 1e8)\n";
+               "nothing here)\n";
 
   constexpr cell size_cells[] = {{1'000}, {10'000}, {100'000}, {1'000'000}};
   scaling_table(
@@ -249,20 +180,6 @@ int main(int argc, char** argv) {
       },
       0.3);
 
-  // The sharded sweep's honest yardstick is Optimal-Silent's uniform-random
-  // start: nothing is certainly null there, so the batched column is real
-  // work, not geometric skipping, and "vs batched" is a genuine core-count
-  // speedup.  (On the baseline the count engine's simulated rate includes
-  // skipped nulls and dwarfs any executed-interaction engine by design.)
-  sharded_scaling_table<optimal_silent_ssr>(
-      rep, "optimal_silent", "uniform_random",
-      "Optimal-Silent-SSR, uniform random start",
-      [](const optimal_silent_ssr& p, rng_t& rng) {
-        return adversarial_configuration(
-            p, optimal_silent_scenario::uniform_random, rng);
-      },
-      0.3, args.max_n);
-
   std::cout << "\nInterpretation: the direct engine's rate is flat in n "
                "(every interaction costs one\nRNG draw + one transition), "
                "while the batched rate scales with n(n-1)/W -- the\n"
@@ -278,10 +195,7 @@ int main(int argc, char** argv) {
                "Table 1's exp(O(n^H) log n) states on the clock: each\n"
                "interaction merges rosters and history trees, so its rate "
                "falls by orders of\nmagnitude as H and n grow, on either "
-               "engine alike (nothing is certainly null).\nThe sharded sweep "
-               "adds the other axis: once nothing can be skipped, cores are\n"
-               "the only lever, and the per-core column is the portable "
-               "number to track across\nrevisions."
+               "engine alike (nothing is certainly null)."
             << std::endl;
   rep.finish();
   return 0;

@@ -23,8 +23,8 @@ namespace ssr::bench {
 namespace {
 
 constexpr std::string_view bench_flags[] = {
-    "--engine",   "--trials",      "--seed",     "--out-dir",  "--no-json",
-    "--history-dir", "--progress", "--profile",  "--shards",   "--max-n",
+    "--engine",      "--trials",   "--seed",    "--out-dir", "--no-json",
+    "--history-dir", "--progress", "--profile",
 };
 constexpr std::string_view bench_switches[] = {"--no-json", "--progress",
                                                "--profile"};
@@ -40,9 +40,9 @@ constexpr std::string_view bench_switches[] = {"--no-json", "--progress",
     if (!suggestion.empty())
       std::cerr << " (did you mean " << suggestion << "?)";
   }
-  std::cerr << "\nbenches accept --engine=direct|batched|sharded --shards=N"
-               " --trials=N --seed=S --out-dir=DIR --no-json"
-               " --history-dir=DIR --progress --profile --max-n=N\n";
+  std::cerr << "\nbenches accept --engine=direct|batched --trials=N"
+               " --seed=S --out-dir=DIR --no-json --history-dir=DIR"
+               " --progress --profile\n";
   std::exit(2);
 }
 
@@ -76,10 +76,9 @@ void banner(const std::string& experiment, const std::string& artifact,
 
 bench_args parse_bench_args(int argc, char** argv) {
   bench_args args;
-  // --engine/--shards validate through the shared request-spec builder
-  // (util/request_spec.hpp), so the benches reject an unknown engine, a
-  // --shards without --engine=sharded, or an explicit --shards=0 with the
-  // same diagnostics as ssr_cli and ssr_serve -- nothing silently clamps.
+  // --engine validates through the shared request-spec builder
+  // (util/request_spec.hpp), so the benches reject an unknown engine with
+  // the same diagnostic as ssr_cli and ssr_serve.
   util::spec_builder engine_builder;
   if (argc > 0) {
     const std::string_view program = argv[0];
@@ -95,14 +94,6 @@ bench_args parse_bench_args(int argc, char** argv) {
     };
     if (const auto v = value_of("--engine=")) {
       engine_builder.set_engine(*v);
-      continue;
-    }
-    if (const auto v = value_of("--shards=")) {
-      engine_builder.set_u64_text("shards", *v);
-      continue;
-    }
-    if (const auto v = value_of("--max-n=")) {
-      args.max_n = parse_u64_flag("--max-n", *v);
       continue;
     }
     if (const auto v = value_of("--trials=")) {
@@ -142,21 +133,13 @@ bench_args parse_bench_args(int argc, char** argv) {
   const std::vector<util::spec_error> errors = engine_builder.finalize();
   for (const util::spec_error& e : errors) {
     // The builder also validates spec fields the benches fix themselves
-    // (n, trials, ...); only the flags routed through it can error here.
-    if (e.field != "engine" && e.field != "shards") continue;
+    // (n, trials, ...); only the flag routed through it can error here.
+    if (e.field != "engine") continue;
     std::cerr << "error: --" << e.field << ": " << e.message << '\n';
     std::exit(2);
   }
   args.engine = engine_builder.spec().engine;
-  std::cout << "engine: " << to_string(args.engine.kind);
-  if (args.engine.kind == engine_kind::sharded) {
-    if (args.engine.shards == 0) {
-      std::cout << " (shards: hardware)";
-    } else {
-      std::cout << " (shards: " << args.engine.shards << ")";
-    }
-  }
-  std::cout << "\n";
+  std::cout << "engine: " << to_string(args.engine.kind) << "\n";
   return args;
 }
 

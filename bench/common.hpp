@@ -22,11 +22,7 @@
 // and infeasible at bench sizes.  `batched` routes through the
 // unified batched engine, which is distribution-equivalent
 // (tests/engine_equivalence_test.cpp) and the only way to the n >= 10^6
-// regime; bench_engine_scaling quantifies the gap.  `sharded` (with
-// --shards=N) splits the population across worker shards -- the trial
-// helpers run its sequential hooked mode (bit-identical trajectories, see
-// pp/sharded_scheduler.hpp), while bench_engine_scaling drives the
-// threaded run_parallel path for throughput.
+// regime; bench_engine_scaling quantifies the gap.
 #pragma once
 
 #include <chrono>
@@ -51,12 +47,7 @@ void banner(const std::string& experiment, const std::string& artifact,
 
 /// The uniform bench command line (parse_bench_args):
 ///
-///   --engine=direct|batched|sharded   engine selection (default direct)
-///   --shards=N                sharded engine worker count (0 = hardware
-///                             concurrency; ignored by other engines)
-///   --max-n=N                 cap the n sweep for benches that scale
-///                             (bench_engine_scaling's shard sweep reaches
-///                             1e8 only when asked; 0 = bench default)
+///   --engine=direct|batched   engine selection (default direct)
 ///   --trials=N                override every row's trial count
 ///   --seed=S                  override every row's base seed
 ///   --out-dir=DIR             where BENCH_<id>.json is written (default .)
@@ -84,7 +75,6 @@ struct bench_args {
   std::string history_dir;
   bool write_json = true;
   bool profile = false;
-  std::uint64_t max_n = 0;  // 0 = bench default cap
   std::string binary;             // argv[0] basename, for the report
   std::vector<std::string> argv;  // original arguments, for the report
 

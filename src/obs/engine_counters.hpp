@@ -5,19 +5,13 @@
 // directly; the disabled path (the default, no counters attached) is a
 // single predictable `if (counters_)` branch per executed interaction,
 // measured to be within noise of the uninstrumented loop
-// (tests/obs_overhead_test.cpp).  The plain struct is not thread-safe by
-// design: one engine, one struct.  Engines that run concurrent workers
-// (the sharded engine) give each worker task its own private
-// engine_counters and merge them through shared_engine_counters below --
-// an atomic absorption point -- before publishing into the plain struct a
-// caller attached, so callers never observe torn counts
-// (tests/sharded_scheduler_fuzz_test.cpp runs this under TSan).
+// (tests/obs_overhead_test.cpp).  The struct is not thread-safe by
+// design: one engine, one struct.
 //
-// This header is dependency-free beyond <atomic> (pp/engine.hpp includes
+// This header is dependency-free beyond <cstdint> (pp/engine.hpp includes
 // it); JSON serialization lives in obs/metrics.hpp.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace ssr::obs {
@@ -44,9 +38,7 @@ struct engine_counters {
   std::uint64_t quiescent_jumps = 0;
   /// Scheduler batches drawn (batched block engine only).
   std::uint64_t batches_drawn = 0;
-  /// Interaction rounds planned by the sharded engine (sharded engine
-  /// only); interactions_executed / shard_rounds is the realized round
-  /// length.
+  /// Always 0; leaves with the ssr.run schema bump (ROADMAP item 13).
   std::uint64_t shard_rounds = 0;
 
   void reset() { *this = engine_counters{}; }
@@ -61,62 +53,8 @@ struct engine_counters {
     geometric_draws += other.geometric_draws;
     quiescent_jumps += other.quiescent_jumps;
     batches_drawn += other.batches_drawn;
-    shard_rounds += other.shard_rounds;
     return *this;
   }
-};
-
-/// Atomic merge point for engines with concurrent workers: each worker
-/// accumulates into a private engine_counters and absorb()s it once (a
-/// handful of relaxed fetch_adds per task, nothing per interaction), and
-/// the coordinating thread drains the totals with snapshot_and_reset()
-/// after joining the workers.  Relaxed ordering suffices because every
-/// reader synchronizes with the writers through the worker join / barrier
-/// that precedes the drain.
-class shared_engine_counters {
- public:
-  void absorb(const engine_counters& c) {
-    interactions_executed_.fetch_add(c.interactions_executed,
-                                     std::memory_order_relaxed);
-    certain_nulls_skipped_.fetch_add(c.certain_nulls_skipped,
-                                     std::memory_order_relaxed);
-    transitions_changed_.fetch_add(c.transitions_changed,
-                                   std::memory_order_relaxed);
-    fenwick_updates_.fetch_add(c.fenwick_updates, std::memory_order_relaxed);
-    geometric_draws_.fetch_add(c.geometric_draws, std::memory_order_relaxed);
-    quiescent_jumps_.fetch_add(c.quiescent_jumps, std::memory_order_relaxed);
-    batches_drawn_.fetch_add(c.batches_drawn, std::memory_order_relaxed);
-    shard_rounds_.fetch_add(c.shard_rounds, std::memory_order_relaxed);
-  }
-
-  /// Returns the accumulated totals and zeroes them, as one logical unit
-  /// (exact once concurrent absorb()ers have quiesced, which the caller's
-  /// join guarantees).
-  engine_counters snapshot_and_reset() {
-    engine_counters c;
-    c.interactions_executed =
-        interactions_executed_.exchange(0, std::memory_order_relaxed);
-    c.certain_nulls_skipped =
-        certain_nulls_skipped_.exchange(0, std::memory_order_relaxed);
-    c.transitions_changed =
-        transitions_changed_.exchange(0, std::memory_order_relaxed);
-    c.fenwick_updates = fenwick_updates_.exchange(0, std::memory_order_relaxed);
-    c.geometric_draws = geometric_draws_.exchange(0, std::memory_order_relaxed);
-    c.quiescent_jumps = quiescent_jumps_.exchange(0, std::memory_order_relaxed);
-    c.batches_drawn = batches_drawn_.exchange(0, std::memory_order_relaxed);
-    c.shard_rounds = shard_rounds_.exchange(0, std::memory_order_relaxed);
-    return c;
-  }
-
- private:
-  std::atomic<std::uint64_t> interactions_executed_{0};
-  std::atomic<std::uint64_t> certain_nulls_skipped_{0};
-  std::atomic<std::uint64_t> transitions_changed_{0};
-  std::atomic<std::uint64_t> fenwick_updates_{0};
-  std::atomic<std::uint64_t> geometric_draws_{0};
-  std::atomic<std::uint64_t> quiescent_jumps_{0};
-  std::atomic<std::uint64_t> batches_drawn_{0};
-  std::atomic<std::uint64_t> shard_rounds_{0};
 };
 
 }  // namespace ssr::obs

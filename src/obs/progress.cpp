@@ -142,7 +142,7 @@ void progress_meter::stop() {
   // Not gated on a "first stop" flag: stop() must be safe from destructors
   // running during exception unwinding, and a late caller must not return
   // while the meter thread is still alive.  The joinable/join pair is not
-  // atomic, so concurrent callers (e.g. shard workers draining a shared
+  // atomic, so concurrent callers (e.g. trial workers draining a shared
   // meter) serialize on join_mutex_: the first one joins, the rest block
   // here until the thread is down and then see joinable() == false.
   const std::scoped_lock join_lock(join_mutex_);

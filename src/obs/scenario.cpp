@@ -8,8 +8,8 @@ namespace {
 constexpr std::string_view k_scenario_fields[] = {
     "schema",  "schema_version", "name",     "description", "protocol",
     "scenario", "n",             "h",        "t_max",       "trials",
-    "seed",    "max_time",       "engine",   "shards",      "trace",
-    "profile", "metrics",
+    "seed",    "max_time",       "engine",   "trace",       "profile",
+    "metrics",
 };
 
 /// Non-negative integral JSON number, exact in a double (the same rule
@@ -130,7 +130,7 @@ std::optional<scenario_doc> parse_scenario(
       continue;
     }
     if (field == "n" || field == "h" || field == "t_max" ||
-        field == "trials" || field == "seed" || field == "shards") {
+        field == "trials" || field == "seed") {
       const std::optional<std::uint64_t> u = as_u64(value);
       if (!u.has_value()) {
         errs.push_back({field, "must be a non-negative integer"});
@@ -141,7 +141,6 @@ std::optional<scenario_doc> parse_scenario(
       if (field == "t_max") builder.set_t_max(*u);
       if (field == "trials") builder.set_trials(*u);
       if (field == "seed") builder.set_seed(*u);
-      if (field == "shards") builder.set_shards(*u);
       continue;
     }
     if (field == "max_time") {

@@ -11,7 +11,7 @@
 //     "h": 2,                               // sublinear only
 //     "t_max": 40,                          // loose only
 //     "trials": 20, "seed": 3, "max_time": 1e7,
-//     "engine": "batched", "shards": 8,     // shards: sharded only
+//     "engine": "batched",                  // direct | batched
 //     "trace": true | {"enabled":..,"sample_every":..,"max_events":..},
 //     "profile": true,                      // optional
 //     "metrics": true }                     // emit metrics.prom
@@ -19,7 +19,7 @@
 // Parsing routes every spec-shaped field through util::spec_builder and
 // util::telemetry_builder -- the same single source of truth the CLI
 // flags, the benches, and the serve wire use -- so a typo'd protocol name
-// or an invalid shard count produces byte-identical field-level errors
+// or an unknown engine produces byte-identical field-level errors
 // (including nearest-name suggestions) no matter which front end read the
 // document, and the spec's canonical() fingerprint is shared with the
 // serve result cache.

@@ -14,10 +14,10 @@
 // interrupting engine.run() at any interaction budget and resuming later
 // continues the identical trajectory (the RNG stream and any cut geometric
 // skip are engine state, see pp/engine.hpp); the block path does too when
-// the transition draws no randomness.  The exceptions follow a different
-// trajectory with the same distribution: the sharded engine plans each
-// round up to the budget, and the block path's shortened batch moves its
-// RNG reads against a randomized transition's (pp/convergence.hpp).
+// the transition draws no randomness.  The one exception is sublinear on
+// the block path, which follows a different trajectory with the same
+// distribution: a shortened batch moves the scheduler's RNG reads against
+// its randomized transition's (pp/convergence.hpp).
 #pragma once
 
 #include <atomic>

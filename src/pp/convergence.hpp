@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -41,7 +42,6 @@
 #include "pp/protocol.hpp"
 #include "pp/random.hpp"
 #include "pp/scheduler.hpp"
-#include "pp/sharded_scheduler.hpp"
 
 namespace ssr {
 
@@ -57,11 +57,10 @@ struct convergence_options {
   /// and the batched count path resume their RNG stream (and any cut
   /// geometric skip) exactly, so there a cancellable run is bit-identical
   /// to an uncancellable one up to the abort point; so is the block path
-  /// for a transition that draws no randomness (loose LE).  The
-  /// exceptions keep the distribution but not the trajectory: the sharded
-  /// engine plans each round up to the budget, and on the block path a
-  /// burst cuts a batch short, which moves the scheduler's RNG reads
-  /// against a randomized transition's (sublinear).
+  /// for a transition that draws no randomness (loose LE).  The one
+  /// exception is sublinear on the block path: a burst cuts a batch short,
+  /// which moves the scheduler's RNG reads against its randomized
+  /// transition's, so it keeps the distribution but not the trajectory.
   const cancel_token* cancel = nullptr;
   /// Request-scoped structured trace (obs/trace.hpp).  When set, the
   /// measurement emits run framing, convergence / correctness_lost markers,
@@ -470,37 +469,27 @@ convergence_result measure_convergence_run(
 /// Builds the engine `spec` names for `protocol` from `initial` under the
 /// uniform scheduler and returns fn(engine).  This is the one place an
 /// engine_spec becomes an engine: the run core, ssr_cli and the benches
-/// all come through here.  No telemetry is attached; fn attaches what it
+/// all come through here.  A kind that names no engine throws
+/// std::invalid_argument.  No telemetry is attached; fn attaches what it
 /// wants.
 template <population_protocol P, class Fn>
 decltype(auto) with_engine(engine_spec spec, P protocol,
                            std::vector<typename P::agent_state> initial,
                            std::uint64_t seed, Fn&& fn) {
-  switch (spec.kind) {
-    case engine_kind::direct: {
-      direct_engine<P> engine(std::move(protocol), std::move(initial), seed);
-      return fn(engine);
-    }
-    case engine_kind::sharded: {
-      sharded_engine<P> engine(std::move(protocol), std::move(initial), seed,
-                               {.shards = spec.shards});
-      return fn(engine);
-    }
-    case engine_kind::batched:
-      break;
+  if (spec.kind == engine_kind::direct) {
+    direct_engine<P> engine(std::move(protocol), std::move(initial), seed);
+    return fn(engine);
   }
+  if (spec.kind != engine_kind::batched)
+    throw std::invalid_argument("engine_spec names no engine");
   batched_engine<P> engine(std::move(protocol), std::move(initial), seed);
   return fn(engine);
 }
 
-/// Runs the measurement on the engine `spec` names.  All engines sample the
-/// same stabilization-time distribution (tests/engine_equivalence_test.cpp);
-/// the batched engine is the one that reaches n >= 10^6 (see
-/// docs/protocol_map.md, "Engines"), and the sharded engine (spec.shards
-/// workers) the one that uses more than one core.  The measurement needs
-/// per-interaction hooks, so the sharded engine runs its sequential hooked
-/// mode here -- the trajectory is bit-identical to the threaded
-/// run_parallel (tests/sharded_scheduler_fuzz_test.cpp).
+/// Runs the measurement on the engine `spec` names.  Both engines sample
+/// the same stabilization-time distribution
+/// (tests/engine_equivalence_test.cpp); the batched engine is the one that
+/// reaches n >= 10^6 (see docs/protocol_map.md, "Engines").
 /// `final_config`, when non-null, receives the configuration at the end of
 /// the run.
 template <measurable_protocol P>

@@ -66,41 +66,33 @@
 namespace ssr {
 
 /// Runtime engine selector, shared by run_trials, the bench binaries
-/// (--engine=direct|batched|sharded) and ssr_cli.
-enum class engine_kind { direct, batched, sharded };
+/// (--engine=direct|batched) and ssr_cli.  No parser produces `sharded`,
+/// and with_engine (pp/convergence.hpp) throws on it.
+enum class engine_kind {
+  direct,
+  batched,
+  sharded,  // no engine; goes with perf_layers' switch (ROADMAP item 6)
+};
 
 inline constexpr std::string_view to_string(engine_kind kind) {
-  switch (kind) {
-    case engine_kind::direct:
-      return "direct";
-    case engine_kind::batched:
-      return "batched";
-    case engine_kind::sharded:
-      return "sharded";
-  }
-  return "direct";
+  return kind == engine_kind::batched ? "batched" : "direct";
 }
 
 inline std::optional<engine_kind> parse_engine(std::string_view name) {
   if (name == "direct") return engine_kind::direct;
   if (name == "batched") return engine_kind::batched;
-  if (name == "sharded") return engine_kind::sharded;
   return std::nullopt;
 }
 
-/// Engine selection plus its tuning knobs.  Implicitly convertible from
-/// engine_kind so existing call sites (and designated initializers like
-/// {.engine = engine_kind::batched}) keep compiling; sharded-aware callers
-/// spell engine_spec{engine_kind::sharded, shards}.
+/// The engine a request selects.  Implicitly convertible from engine_kind
+/// so call sites (and designated initializers like
+/// {.engine = engine_kind::batched}) spell only the kind.
+/// Becomes engine_kind once perf_layers stops naming it (ROADMAP item 6).
 struct engine_spec {
   engine_kind kind = engine_kind::direct;
-  /// Worker shard count for engine_kind::sharded; 0 picks the engine
-  /// default (hardware concurrency).  Ignored by the other engines.
-  std::uint32_t shards = 0;
 
   constexpr engine_spec() = default;
-  constexpr engine_spec(engine_kind k, std::uint32_t s = 0)  // NOLINT
-      : kind(k), shards(s) {}
+  constexpr engine_spec(engine_kind k) : kind(k) {}  // NOLINT
 
   friend bool operator==(const engine_spec&, const engine_spec&) = default;
 };

@@ -57,86 +57,4 @@ inline std::uint64_t geometric_failures(rng_t& rng, double p) {
   return static_cast<std::uint64_t>(k);
 }
 
-namespace detail {
-
-/// Stirling-series tail log(k!) - (k + 1/2) log(k+...) correction used by
-/// the BTRS acceptance bound; exact table for k <= 9, three-term series
-/// above (error < 1e-12 there).
-inline double stirling_tail(double k) {
-  constexpr double table[] = {
-      0.0810614667953272,  0.0413406959554092,  0.0276779256849983,
-      0.02079067210376509, 0.0166446911898211,  0.0138761288230707,
-      0.0118967099458917,  0.0104112652619720,  0.00925546218271273,
-      0.00833056343336287};
-  if (k <= 9.0) return table[static_cast<int>(k)];
-  const double kp1 = k + 1.0;
-  const double kp1sq = kp1 * kp1;
-  return (1.0 / 12 - (1.0 / 360 - 1.0 / 1260 / kp1sq) / kp1sq) / kp1;
-}
-
-/// Exact waiting-time binomial: counts Bernoulli(p) successes in t trials
-/// by jumping over geometric failure runs.  O(tp) expected draws -- the
-/// small-mean regime of binomial_draw.
-inline std::uint64_t binomial_small(rng_t& rng, std::uint64_t t, double p) {
-  std::uint64_t successes = 0;
-  std::uint64_t remaining = t;
-  while (true) {
-    const std::uint64_t gap = geometric_failures(rng, p);
-    if (gap >= remaining) return successes;  // no further success fits
-    remaining -= gap + 1;
-    ++successes;
-    if (remaining == 0) return successes;
-  }
-}
-
-/// BTRS (Hormann's transformed-rejection binomial sampler): O(1) expected
-/// draws for t*p >= 10 and p <= 1/2.  The acceptance bound compares
-/// log densities through the Stirling tails above, so the sampler is exact
-/// (rejection, not approximation).
-inline std::uint64_t binomial_btrs(rng_t& rng, std::uint64_t t, double p) {
-  const double tn = static_cast<double>(t);
-  const double q = 1.0 - p;
-  const double spq = std::sqrt(tn * p * q);
-  const double b = 1.15 + 2.53 * spq;
-  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
-  const double c = tn * p + 0.5;
-  const double v_r = 0.92 - 4.2 / b;
-  const double alpha = (2.83 + 5.1 / b) * spq;
-  const double m = std::floor((tn + 1.0) * p);  // mode
-  while (true) {
-    const double u = uniform_unit(rng) - 0.5;
-    double v = uniform_unit(rng);
-    const double us = 0.5 - std::abs(u);
-    const double k = std::floor((2.0 * a / us + b) * u + c);
-    if (k < 0.0 || k > tn) continue;
-    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
-    v = std::log(v * alpha / (a / (us * us) + b));
-    const double bound =
-        (m + 0.5) * std::log((m + 1.0) / ((tn - m + 1.0) * p / q)) +
-        (tn + 1.0) * std::log((tn - m + 1.0) / (tn - k + 1.0)) +
-        (k + 0.5) * std::log((tn - k + 1.0) * p / q / (k + 1.0)) +
-        stirling_tail(m) + stirling_tail(tn - m) - stirling_tail(k) -
-        stirling_tail(tn - k);
-    if (v <= bound) return static_cast<std::uint64_t>(k);
-  }
-}
-
-}  // namespace detail
-
-/// Binomial(t, p) draw.  Exact for every (t, p): small means use the
-/// waiting-time method (geometric gaps between successes), large means use
-/// BTRS transformed rejection, and p > 1/2 is mirrored.  The sharded engine
-/// draws its per-round multinomial interaction counts through sequential
-/// binomial conditioning on this.
-inline std::uint64_t binomial_draw(rng_t& rng, std::uint64_t t, double p) {
-  SSR_REQUIRE(p >= 0.0 && p <= 1.0);
-  if (t == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return t;
-  if (p > 0.5) return t - binomial_draw(rng, t, 1.0 - p);
-  if (static_cast<double>(t) * p < 10.0) {
-    return detail::binomial_small(rng, t, p);
-  }
-  return detail::binomial_btrs(rng, t, p);
-}
-
 }  // namespace ssr

@@ -30,21 +30,6 @@ constexpr std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) {
   return splitmix64(x);
 }
 
-/// Counter-based splittable stream derivation: maps (base, hi, lo) to a
-/// decorrelated child seed.  The sharded engine keys per-task RNG streams on
-/// (run seed, round index, task index), so a task's stream is a pure
-/// function of its coordinates -- independent of thread count, scheduling
-/// order, or which worker happens to execute it.
-constexpr std::uint64_t derive_stream(std::uint64_t base, std::uint64_t hi,
-                                      std::uint64_t lo) {
-  std::uint64_t x = base ^ (0x9e3779b97f4a7c15ULL * (hi + 0x632be59bd9b4e019ULL));
-  (void)splitmix64(x);
-  x ^= 0xd1b54a32d192ed03ULL * (lo + 1);
-  // Two further rounds fully avalanche both coordinates into the result.
-  (void)splitmix64(x);
-  return splitmix64(x);
-}
-
 /// xoshiro256++ engine.  Satisfies std::uniform_random_bit_generator.
 class xoshiro256pp {
  public:

@@ -10,13 +10,12 @@
 //                           bit-identical to uniform_below's accept rule
 //   decode_ordered_distinct mapped values -> ordered distinct pairs,
 //                           bit-identical to sample_pair's decode
-//   sum_u64                 wrapping sum (the sharded scheduler's weights)
 //
 // Division goes through u64_divider, a libdivide-style multiply-shift
 // reciprocal built once per population size.  tests/simd_test.cpp checks
 // every kernel against first principles: the divider against native
-// division, the map against uniform_below, the decode against every
-// ordered pair, and the sum's wraparound.
+// division, the map against uniform_below, and the decode against every
+// ordered pair.
 #pragma once
 
 #include <cstddef>
@@ -120,12 +119,6 @@ inline void decode_ordered_distinct(const std::uint64_t* k, std::size_t count,
     i_out[n] = q;
     j_out[n] = r + (r >= q ? 1 : 0);
   }
-}
-
-inline std::uint64_t sum_u64(const std::uint64_t* v, std::size_t count) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < count; ++i) total += v[i];
-  return total;
 }
 
 }  // namespace ssr::simd

@@ -21,8 +21,8 @@
 // baseline's jump simulator on "direct"; a fired token surfaces as
 // cancelled_error, which the job queue maps to a cancelled job.  A token
 // that never fires leaves the samples bit-identical to an uncancellable
-// run's, except on the sharded engine and for sublinear on the batched
-// block path, where bursts change the trajectory but not its distribution
+// run's, except for sublinear on the batched block path, where bursts
+// change the trajectory but not its distribution
 // (convergence_options::cancel in pp/convergence.hpp).
 #pragma once
 

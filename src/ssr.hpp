@@ -20,7 +20,6 @@
 #include "pp/random.hpp"
 #include "pp/rng.hpp"
 #include "pp/scheduler.hpp"
-#include "pp/sharded_scheduler.hpp"
 #include "pp/simd.hpp"
 #include "pp/trial.hpp"
 #include "processes/analytic.hpp"

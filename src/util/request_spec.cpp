@@ -9,7 +9,7 @@
 namespace ssr::util {
 namespace {
 
-constexpr std::string_view k_engines[] = {"direct", "batched", "sharded"};
+constexpr std::string_view k_engines[] = {"direct", "batched"};
 
 bool contains(std::span<const std::string_view> names, std::string_view v) {
   return std::find(names.begin(), names.end(), v) != names.end();
@@ -118,12 +118,6 @@ bool spec_builder::fits_u32(std::string_view field, std::uint64_t v) {
   return false;
 }
 
-void spec_builder::set_shards(std::uint64_t v) {
-  if (!fits_u32("shards", v)) return;
-  spec_.engine.shards = static_cast<std::uint32_t>(v);
-  shards_given_ = true;
-}
-
 void spec_builder::set_n(std::uint64_t v) {
   if (fits_u32("n", v)) spec_.n = static_cast<std::uint32_t>(v);
 }
@@ -162,7 +156,6 @@ void spec_builder::set_u64_text(std::string_view field,
   if (field == "t_max") return set_t_max(*value);
   if (field == "trials") return set_trials(*value);
   if (field == "seed") return set_seed(*value);
-  if (field == "shards") return set_shards(*value);
   syntax_errors_.push_back(
       {std::string(field), "not a spec field this builder knows"});
 }
@@ -253,18 +246,6 @@ std::vector<spec_error> spec_builder::finalize() {
           {"engine", unknown_name_message("engine", engine_text_, k_engines)});
     } else {
       spec_.engine.kind = *kind;
-    }
-  }
-  if (shards_given_) {
-    if (spec_.engine.kind != engine_kind::sharded) {
-      std::string message = "shards requires engine=sharded (got engine=";
-      message += to_string(spec_.engine.kind);
-      message += ")";
-      errors.push_back({"shards", std::move(message)});
-    } else if (spec_.engine.shards == 0) {
-      errors.push_back({"shards",
-                        "shard count must be >= 1 (omit shards to use "
-                        "hardware concurrency)"});
     }
   }
 

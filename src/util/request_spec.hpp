@@ -2,22 +2,21 @@
 //
 // ssr_cli, the bench binaries, and the ssr_serve daemon all accept the
 // same logical request -- (protocol, scenario, n, h, t_max, trials, seed,
-// max_time, engine, shards) -- but historically each parsed and validated
-// it separately, so a typo'd protocol name produced three different error
-// messages and --shards was validated nowhere.  This helper is the single
-// source of truth: a spec_builder accumulates raw field values (text from
-// command lines, typed values from JSON requests), finalize() runs the
-// cross-field validation, and every front end renders the same
-// field-level errors -- including the nearest-name suggestions -- so bad
-// specs are rejected identically at the CLI, the benches, and the wire.
+// max_time, engine) -- but historically each parsed and validated it
+// separately, so a typo'd protocol name produced three different error
+// messages.  This helper is the single source of truth: a spec_builder
+// accumulates raw field values (text from command lines, typed values from
+// JSON requests), finalize() runs the cross-field validation, and every
+// front end renders the same field-level errors -- including the
+// nearest-name suggestions -- so bad specs are rejected identically at the
+// CLI, the benches, and the wire.
 //
 // The canonical() form doubles as the serve layer's cache fingerprint:
 // deterministic seeds make simulation results pure functions of the spec,
 // and canonical() materializes every default and drops fields the selected
 // protocol ignores (h or t_max unless the protocol's descriptor reads it,
-// protocols/runnable.hpp; shards for non-sharded), so two requests that
-// differ only in field order or in irrelevant fields map to the same cache
-// entry.
+// protocols/runnable.hpp), so two requests that differ only in field order
+// or in irrelevant fields map to the same cache entry.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +32,7 @@
 namespace ssr::util {
 
 /// One field-level validation error; `field` names the offending request
-/// field ("protocol", "engine", "shards", ...), `message` is the shared
+/// field ("protocol", "engine", "n", ...), `message` is the shared
 /// human-readable diagnostic.
 struct spec_error {
   std::string field;
@@ -71,10 +70,9 @@ struct sim_request_spec {
 
   /// Calls fn(field, value) for each field of the canonical form, in its
   /// order, leaving out the parameter the protocol's descriptor does not
-  /// read and shards unless engine=sharded.  A value is a
-  /// std::string_view, a std::uint64_t or a double.  canonical() and the
-  /// scenario document (obs::scenario_to_json) both write these fields, so
-  /// they agree.  Requires a runnable protocol.
+  /// read.  A value is a std::string_view, a std::uint64_t or a double.
+  /// canonical() and the scenario document (obs::scenario_to_json) both
+  /// write these fields, so they agree.  Requires a runnable protocol.
   template <class Fn>
   void for_each_field(Fn&& fn) const {
     fn("protocol", std::string_view(protocol));
@@ -88,8 +86,6 @@ struct sim_request_spec {
     fn("seed", seed);
     fn("max_time", max_time);
     fn("engine", to_string(engine.kind));
-    if (engine.kind == engine_kind::sharded)
-      fn("shards", std::uint64_t{engine.shards});
   }
 
   friend bool operator==(const sim_request_spec&,
@@ -114,17 +110,13 @@ std::span<const std::string_view> scenario_names(std::string_view protocol);
 ///     the protocol reads (sublinear: h >= 1);
 ///   * max_time * n < 2^64, since run loops cap a trial at that many
 ///     interactions in a 64-bit count;
-///   * shards may only be given with engine=sharded, and an explicit
-///     shards=0 is rejected (omit the field for hardware concurrency) --
-///     nothing is silently clamped or ignored;
-///   * n, h, t_max and shards are 32-bit: a larger value is a field error
-///     when it is set, never a wrapped value.
+///   * n, h and t_max are 32-bit: a larger value is a field error when it
+///     is set, never a wrapped value.
 class spec_builder {
  public:
   void set_protocol(std::string_view v);
   void set_scenario(std::string_view v);
   void set_engine(std::string_view v);
-  void set_shards(std::uint64_t v);
   void set_n(std::uint64_t v);
   void set_h(std::uint64_t v);
   void set_t_max(std::uint64_t v);
@@ -133,7 +125,7 @@ class spec_builder {
   void set_max_time(double v);
 
   /// Parses `text` as an unsigned integer for `field` ("n", "h", "t_max",
-  /// "trials", "seed", "shards"); records a field error on bad syntax, a
+  /// "trials", "seed"); records a field error on bad syntax, a
   /// value above 2^64-1 or an unknown field name.
   void set_u64_text(std::string_view field, std::string_view text);
   /// Parses `text` as a positive double for max_time.
@@ -150,7 +142,6 @@ class spec_builder {
   sim_request_spec spec_;
   std::string engine_text_;
   bool engine_given_ = false;
-  bool shards_given_ = false;
   bool scenario_given_ = false;
   std::vector<spec_error> syntax_errors_;
 

@@ -10,7 +10,7 @@
 #                at` line unchanged, graph runs included, and a graph
 #                run's --json carries the engine counters
 #   large-n      optimal at n=1e6 with --max-time=1 exits 1 with "did NOT
-#                stabilize" on direct, batched and sharded(2)
+#                stabilize" on direct and batched
 #   bad-values   malformed or out-of-range flag values are usage errors:
 #                exit 2 with the flag named on the `error:` line (the
 #                usage text after it names every flag)
@@ -120,7 +120,7 @@ observers)
       "--protocol=optimal --n=24 --scenario=no_leader --seed=3 --engine=batched" \
       "--protocol=baseline --n=12 --seed=5" \
       "--protocol=sublinear --n=8 --h=2 --scenario=single_collision --seed=7 --engine=batched" \
-      "--protocol=loose --n=32 --seed=9 --engine=sharded --shards=2" \
+      "--protocol=loose --n=32 --seed=9 --engine=batched" \
       "--protocol=optimal --n=24 --scenario=no_leader --seed=3 --graph=gnp --graph-p=0.9"; do
     # Word splitting of $flags is intended.
     # shellcheck disable=SC2086
@@ -148,10 +148,9 @@ observers)
   echo "ok   graph run counters: $executed interactions executed"
   ;;
 large-n)
-  for engine in direct batched "sharded --shards=2"; do
+  for engine in direct batched; do
     status=0
-    # shellcheck disable=SC2086
-    "$CLI" --protocol=optimal --n=1000000 --max-time=1 --engine=$engine \
+    "$CLI" --protocol=optimal --n=1000000 --max-time=1 --engine="$engine" \
       > "$WORK/large.out" 2>&1 || status=$?
     [ "$status" -eq 1 ] || fail "n=1e6 on $engine exited $status"
     grep -q "did NOT stabilize" "$WORK/large.out" ||

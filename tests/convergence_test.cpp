@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "protocols/loose_stabilizing.hpp"
 #include "protocols/silent_n_state.hpp"
 
@@ -202,6 +204,16 @@ TEST(MeasureConvergence, DeterministicForSameSeed) {
   const convergence_result b = measure_convergence(protocol, init, 1234);
   EXPECT_EQ(a.interactions, b.interactions);
   EXPECT_DOUBLE_EQ(a.convergence_time, b.convergence_time);
+}
+
+// engine_kind::sharded names no engine: with_engine refuses it instead of
+// running another engine in its place.
+TEST(WithEngine, KindWithoutAnEngineThrows) {
+  silent_n_state_ssr protocol(8);
+  std::vector<silent_n_state_ssr::agent_state> init(8);
+  EXPECT_THROW(with_engine(engine_kind::sharded, protocol, init, 1,
+                           [](auto&) { return 0; }),
+               std::invalid_argument);
 }
 
 }  // namespace

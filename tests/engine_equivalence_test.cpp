@@ -1,24 +1,18 @@
 // Distribution equivalence of the simulation engines -- the central claim
-// of pp/engine.hpp and pp/sharded_scheduler.hpp: the batched engine and the
-// sharded engine simulate *exactly* the uniform scheduler's process, so
-// stabilization times under --engine=direct, --engine=batched, and
-// --engine=sharded (at any shard count) are draws from one distribution.
-// Each sample is measured with an independent seed stream and compared
-// against the direct engine's with the two-sample Kolmogorov-Smirnov test
-// at alpha = 0.01 (analysis/ks_test.hpp) -- a distribution-level check, not
-// a means comparison, so it catches subtle errors like mis-weighted pair
-// categories, a biased geometric skip, or a sharded round plan whose
-// multinomial class counts drift from Multinomial(T, w_c / n(n-1)), all of
-// which leave averages intact.
+// of pp/engine.hpp: the batched engine simulates *exactly* the uniform
+// scheduler's process, so stabilization times under --engine=direct and
+// --engine=batched are draws from one distribution.  Each sample is
+// measured with an independent seed stream and compared against the direct
+// engine's with the two-sample Kolmogorov-Smirnov test at alpha = 0.01
+// (analysis/ks_test.hpp) -- a distribution-level check, not a means
+// comparison, so it catches subtle errors like mis-weighted pair
+// categories or a biased geometric skip, which leave averages intact.
 //
 // Coverage spans every engine path: Silent-n-state-SSR and
 // Optimal-Silent-SSR are batch-countable (count engine with geometric
 // null-skipping), Sublinear-Time-SSR exercises the deepest protocol
 // machinery, and loose stabilizing LE is not batch-countable (collision-
-// aware block sampling via batch_scheduler).  The sharded engine is walled
-// at shards in {1, 2, 8}: 1 is the batched-delegate degenerate case, 2 the
-// smallest real partition, 8 a partition with more shards than this test's
-// populations have agents per shard is wide.  The loose protocol is
+// aware block sampling via batch_scheduler).  The loose protocol is
 // additionally walled on its *leader-count* distribution at a fixed time
 // horizon -- a configuration-shape observable, independent of the
 // convergence-time one.
@@ -146,63 +140,33 @@ std::vector<double> loose_leader_counts(engine_spec spec, std::uint64_t base,
 TEST(EngineEquivalence, SilentNStateStabilizationTimes) {
   const auto direct = baseline_sample(engine_kind::direct, 1101, 200);
   const auto batched = baseline_sample(engine_kind::batched, 2203, 200);
-  const auto sharded1 =
-      baseline_sample({engine_kind::sharded, 1}, 9203, 200);
-  const auto sharded2 =
-      baseline_sample({engine_kind::sharded, 2}, 9301, 200);
-  const auto sharded8 =
-      baseline_sample({engine_kind::sharded, 8}, 9407, 200);
   expect_all_converged(direct);
   expect_all_converged(batched);
-  expect_all_converged(sharded1);
-  expect_all_converged(sharded2);
-  expect_all_converged(sharded8);
   expect_ks_equivalent(direct, batched, "batched");
-  expect_ks_equivalent(direct, sharded1, "sharded shards=1");
-  expect_ks_equivalent(direct, sharded2, "sharded shards=2");
-  expect_ks_equivalent(direct, sharded8, "sharded shards=8");
-  // Different shard counts against each other: the partition must not leak
-  // into the law.
-  expect_ks_equivalent(sharded2, sharded8, "sharded shards=2 vs shards=8");
 }
 
 TEST(EngineEquivalence, OptimalSilentStabilizationTimes) {
   const auto direct = optimal_sample(engine_kind::direct, 3307, 150);
   const auto batched = optimal_sample(engine_kind::batched, 4409, 150);
-  const auto sharded2 =
-      optimal_sample({engine_kind::sharded, 2}, 9511, 150);
-  const auto sharded8 =
-      optimal_sample({engine_kind::sharded, 8}, 9601, 150);
   expect_all_converged(direct);
   expect_all_converged(batched);
-  expect_all_converged(sharded2);
-  expect_all_converged(sharded8);
   expect_ks_equivalent(direct, batched, "batched");
-  expect_ks_equivalent(direct, sharded2, "sharded shards=2");
-  expect_ks_equivalent(direct, sharded8, "sharded shards=8");
 }
 
 TEST(EngineEquivalence, SublinearStabilizationTimes) {
   const auto direct = sublinear_sample(engine_kind::direct, 5113, 120);
   const auto batched = sublinear_sample(engine_kind::batched, 6217, 120);
-  const auto sharded8 =
-      sublinear_sample({engine_kind::sharded, 8}, 9719, 120);
   expect_all_converged(direct);
   expect_all_converged(batched);
-  expect_all_converged(sharded8);
   expect_ks_equivalent(direct, batched, "batched");
-  expect_ks_equivalent(direct, sharded8, "sharded shards=8");
 }
 
 TEST(EngineEquivalence, LooseLeaderElectionTimes) {
   const auto direct = loose_sample(engine_kind::direct, 5501, 150);
   const auto batched = loose_sample(engine_kind::batched, 6607, 150);
-  const auto sharded8 = loose_sample({engine_kind::sharded, 8}, 9811, 150);
   expect_all_converged(direct);
   expect_all_converged(batched);
-  expect_all_converged(sharded8);
   expect_ks_equivalent(direct, batched, "batched (block path)");
-  expect_ks_equivalent(direct, sharded8, "sharded shards=8");
 }
 
 TEST(EngineEquivalence, LooseLeaderCountDistribution) {
@@ -210,13 +174,10 @@ TEST(EngineEquivalence, LooseLeaderCountDistribution) {
       loose_leader_counts(engine_kind::direct, 7109, 200);
   const auto batched =
       loose_leader_counts(engine_kind::batched, 7211, 200);
-  const auto sharded8 =
-      loose_leader_counts({engine_kind::sharded, 8}, 9901, 200);
   // The horizon must land where the observable still varies, or the wall
   // would pass vacuously on a constant distribution.
   ASSERT_GT(std::set<double>(direct.begin(), direct.end()).size(), 1u);
   expect_ks_equivalent(direct, batched, "batched leader counts");
-  expect_ks_equivalent(direct, sharded8, "sharded leader counts");
 }
 
 // A same-protocol direct-vs-direct comparison must of course also pass;

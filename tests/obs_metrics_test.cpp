@@ -368,7 +368,7 @@ TEST(ObsProgress, MeterStopsCleanlyBeforeFirstInterval) {
 }
 
 TEST(ObsProgress, ManyThreadsStopConcurrently) {
-  // Shard workers (or any concurrent driver) may race to shut the heartbeat
+  // Trial workers (or any concurrent driver) may race to shut the heartbeat
   // down; every stop() must return only after the meter thread exited, with
   // exactly one caller doing the join.  Runs under TSan via the
   // concurrency_suites target.

@@ -64,45 +64,14 @@ TEST(RequestSpec, LooseDefaultsItsOnlyScenario) {
   EXPECT_EQ(spec.scenario, "dead_configuration");
 }
 
-TEST(RequestSpec, ShardsRequireShardedEngine) {
-  spec_builder builder;
-  builder.set_shards(4);
-  const auto errors = builder.finalize();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors[0].field, "shards");
-  EXPECT_EQ(errors[0].message,
-            "shards requires engine=sharded (got engine=direct)");
-}
-
-TEST(RequestSpec, ExplicitZeroShardsRejected) {
-  spec_builder builder;
-  builder.set_engine("sharded");
-  builder.set_shards(0);
-  const auto errors = builder.finalize();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors[0].field, "shards");
-  EXPECT_EQ(errors[0].message,
-            "shard count must be >= 1 (omit shards to use hardware "
-            "concurrency)");
-}
-
-TEST(RequestSpec, ShardedWithExplicitShardsIsValid) {
-  spec_builder builder;
-  builder.set_engine("sharded");
-  builder.set_shards(3);
-  const sim_request_spec spec = must_finalize(builder);
-  EXPECT_EQ(spec.engine.kind, engine_kind::sharded);
-  EXPECT_EQ(spec.engine.shards, 3u);
-}
-
 TEST(RequestSpec, UnknownEngineSuggestsNearest) {
   spec_builder builder;
-  builder.set_engine("shraded");
+  builder.set_engine("bached");
   const auto errors = builder.finalize();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].field, "engine");
   EXPECT_EQ(errors[0].message,
-            "unknown engine 'shraded' (did you mean sharded?)");
+            "unknown engine 'bached' (did you mean batched?)");
 }
 
 TEST(RequestSpec, NumericBoundsProduceStableFieldOrder) {
@@ -185,7 +154,7 @@ TEST(RequestSpec, ParseU64Golden) {
 
 // The 32-bit fields never wrap: n=2^32+2 is a field error, not n=2.
 TEST(RequestSpec, ValuesAbove32BitsAreFieldErrors) {
-  for (const char* field : {"n", "h", "t_max", "shards"}) {
+  for (const char* field : {"n", "h", "t_max"}) {
     spec_builder builder;
     builder.set_u64_text(field, "4294967298");
     const auto errors = builder.finalize();
@@ -311,19 +280,6 @@ TEST(Fingerprint, OmitsTimeoutUnlessLoose) {
   loose.set_protocol("loose");
   loose.set_t_max(99);
   EXPECT_NE(must_finalize(loose).canonical().find(" t_max=99"),
-            std::string::npos);
-}
-
-TEST(Fingerprint, OmitsShardsUnlessSharded) {
-  spec_builder batched;
-  batched.set_engine("batched");
-  EXPECT_EQ(must_finalize(batched).canonical().find("shards"),
-            std::string::npos);
-
-  spec_builder sharded;
-  sharded.set_engine("sharded");
-  sharded.set_shards(2);
-  EXPECT_NE(must_finalize(sharded).canonical().find(" engine=sharded shards=2"),
             std::string::npos);
 }
 

@@ -34,31 +34,6 @@ TEST(Rng, DerivedSeedsDependOnBase) {
   EXPECT_NE(derive_seed(1, 0), derive_seed(2, 0));
 }
 
-TEST(Rng, DerivedStreamsAreDistinctAcrossBothCoordinates) {
-  // The sharded engine keys per-task RNG streams on (seed, round, task); a
-  // collision would hand two tasks the same draw sequence.
-  std::set<std::uint64_t> streams;
-  for (std::uint64_t hi = 0; hi < 100; ++hi) {
-    for (std::uint64_t lo = 0; lo < 100; ++lo)
-      streams.insert(derive_stream(123, hi, lo));
-  }
-  EXPECT_EQ(streams.size(), 10000u);
-  // Coordinates are not interchangeable, and the base matters.
-  EXPECT_NE(derive_stream(123, 1, 2), derive_stream(123, 2, 1));
-  EXPECT_NE(derive_stream(1, 7, 7), derive_stream(2, 7, 7));
-}
-
-TEST(Rng, DerivedStreamsDecorrelatedFromDerivedSeeds) {
-  // Stream seeds and trial seeds draw from the same 64-bit space but must
-  // not systematically collide with each other.
-  std::set<std::uint64_t> all;
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    all.insert(derive_seed(9, i));
-    all.insert(derive_stream(9, 0, i));
-  }
-  EXPECT_EQ(all.size(), 10000u);
-}
-
 TEST(Rng, JumpYieldsDisjointSubsequences) {
   // jump() advances 2^128 steps: the pre- and post-jump output windows are
   // different subsequences of one stream and must not overlap.

@@ -4,8 +4,9 @@
 // values its former private loop produced; a traced loose trial is run
 // framing plus the convergence marker; a fired cancel token aborts a loose
 // trial; and a cancel token that never fires changes no sample on any
-// engine path but the sharded one.  The jump simulator keeps its samples,
-// honours max_time and the token, and traces its real interaction count.
+// engine path but sublinear's block path.  The jump simulator keeps its
+// samples, honours max_time and the token, and traces its real interaction
+// count.
 // Every runnable protocol's listed scenarios build their trial recipes.
 #include <gtest/gtest.h>
 
@@ -192,12 +193,16 @@ TEST(Runner, TracedBaselineDirectTrialCountsItsInteractions) {
 TEST(Runner, NeverFiredTokenChangesNoSample) {
   // A token makes the run core cut trials into bursts of max(64 n, 2^22)
   // interactions.  Every spec here runs past one burst, so each engine
-  // path resumes across a cut: the count engine (baseline on batched)
-  // keeps the rest of a cut geometric skip, and the direct engine and the
-  // block scheduler (loose on batched) resume their pair stream.
+  // path resumes across a cut: the count engine (baseline and optimal on
+  // batched) keeps the rest of a cut geometric skip, and the direct engine
+  // (optimal, and sublinear with its randomized transition) and the block
+  // scheduler (loose on batched) resume their pair stream.
   // The block path's batches_drawn may differ: a cut shortens a batch.
   // Baseline on direct is the jump simulator, which polls every 1024
-  // transitions and never cuts a skip.
+  // transitions and never cuts a skip.  Sublinear on the block path is the
+  // one path a cut moves (pp/cancellation.hpp), so it is not listed.
+  // Sublinear's trials last a few hundred time units at any n, so it takes
+  // n = 6144 (5.1e6 interactions, 0.9 GB of rosters) to cross a burst.
   cancel_token token;
   const util::sim_request_spec specs[] = {
       make_spec("baseline", "uniform_random", 256, 2, 11,
@@ -205,6 +210,10 @@ TEST(Runner, NeverFiredTokenChangesNoSample) {
       make_spec("baseline", "uniform_random", 256, 2, 11,
                 engine_kind::direct),
       make_spec("optimal", "uniform_random", 900, 1, 4, engine_kind::direct),
+      make_spec("optimal", "uniform_random", 1200, 1, 4,
+                engine_kind::batched),
+      make_spec("sublinear", "uniform_random", 6144, 1, 4,
+                engine_kind::direct),
       make_spec("loose", "dead_configuration", 3000, 1, 3,
                 engine_kind::batched),
   };

@@ -200,6 +200,25 @@ TEST(ServeService, WrongFieldTypesAndUnknownFieldsAreCaught) {
       std::string::npos);
 }
 
+TEST(ServeService, RemovedEngineIsAFieldError) {
+  // The engines are direct and batched: "sharded" is the engine field's
+  // unknown-name error and "shards" an unknown field, as in scenario files.
+  service svc(fast_options());
+  const obs::json_value response = svc.handle_line(
+      R"({"type":"run","protocol":"optimal","n":8,"engine":"sharded",)"
+      R"("shards":2})");
+  EXPECT_EQ(response.find("error")->as_string(), "invalid_request");
+  const obs::json_value* errors = response.find("field_errors");
+  ASSERT_NE(errors, nullptr) << response.dump();
+  ASSERT_EQ(errors->size(), 2u);
+  EXPECT_EQ(errors->at(0).find("field")->as_string(), "shards");
+  EXPECT_EQ(errors->at(0).find("message")->as_string(),
+            "unknown scenario field 'shards' (did you mean seed?)");
+  EXPECT_EQ(errors->at(1).find("field")->as_string(), "engine");
+  EXPECT_EQ(errors->at(1).find("message")->as_string(),
+            "unknown engine 'sharded' (did you mean batched?)");
+}
+
 TEST(ServeService, RestartNumbersJobsAfterTheBundlesInItsDirectory) {
   // A daemon restarted on the same telemetry dir continues the job ids
   // instead of writing a second job-1 into the first daemon's bundle.

@@ -21,8 +21,7 @@
 // complete graph (with_engine in pp/convergence.hpp);
 // --graph=ring|star|path|gnp runs the same core on direct_engine over that
 // graph.  --trace-every and --progress cut the run at checkpoints, which
-// keeps the trajectory on the direct engine and the count engine but not
-// on the block path or the sharded engine.
+// keeps the trajectory everywhere but for sublinear on the block path.
 //
 // Bundle subcommands (docs/bundles.md):
 //
@@ -38,10 +37,7 @@
 // --json writes a machine-readable run summary (verdict, parallel time,
 // engine counters); --trace-out writes the structured event stream
 // (obs/trace.hpp) as JSONL; both, and --profile, work on every engine and
-// graph.  --engine=sharded runs the sharded engine's sequential hooked
-// mode (the run core needs per-interaction hooks); its threaded
-// run_parallel twin is exercised by bench_engine_scaling and the TSan test
-// suite and is bit-identical by construction (pp/sharded_scheduler.hpp).
+// graph.
 //
 // Exit code 0 iff the run reached a correct configuration; 2 on bad usage.
 #include <algorithm>
@@ -114,8 +110,7 @@ struct options {
 constexpr std::string_view cli_flags[] = {
     "--protocol",       "--n",           "--h",
     "--t-max",          "--scenario",    "--graph",
-    "--graph-p",        "--engine",      "--shards",
-    "--seed",
+    "--graph-p",        "--engine",      "--seed",
     "--max-time",       "--trace-every", "--show-agents",
     "--dump",           "--load",        "--json",
     "--trace-out",      "--trace-sample-every",
@@ -154,19 +149,15 @@ constexpr std::uint32_t max_gnp_n = 4096;
       "                         over that graph; gnp needs --n <= "
       << max_gnp_n << ")\n"
       "  --graph-p=<float>      edge probability for gnp (default 0.9)\n"
-      "  --engine=direct|batched|sharded  simulation engine (default\n"
-      "                         direct; batched and sharded assume the\n"
-      "                         uniform complete-graph scheduler, so they\n"
-      "                         need --graph=complete)\n"
-      "  --shards=<int>         sharded engine worker shard count (>= 1;\n"
-      "                         requires --engine=sharded; omit the flag\n"
-      "                         for hardware concurrency)\n"
+      "  --engine=direct|batched  simulation engine (default direct;\n"
+      "                         batched assumes the uniform complete-graph\n"
+      "                         scheduler, so it needs --graph=complete)\n"
       "  --seed=<int>           rng seed (default 1); the trial seed is\n"
       "                         derive_seed(seed, 0), as for trial 0 of a run\n"
       "  --max-time=<float>     parallel-time budget (default 1e7)\n"
       "  --trace-every=<float>  summary every T time units (cuts the run at\n"
-      "                         each summary, which changes the trajectory\n"
-      "                         on the block path and the sharded engine)\n"
+      "                         each summary, which changes sublinear's\n"
+      "                         trajectory on --engine=batched)\n"
       "  --show-agents          dump every agent state at start/end\n"
       "  --dump=<file>          write the starting configuration (see\n"
       "                         protocols/serialize.hpp for the format)\n"
@@ -269,7 +260,7 @@ options parse(int argc, char** argv) {
     if (arg == "--list-protocols" || arg == "--list-scenarios") listing = true;
   }
   // Spec-shaped flags (protocol, scenario, n, h, t-max, seed, max-time,
-  // engine, shards) funnel through the shared builder so the CLI rejects
+  // engine) funnel through the shared builder so the CLI rejects
   // bad specs with exactly the diagnostics the benches and ssr_serve
   // produce (util/request_spec.hpp).
   util::spec_builder builder;
@@ -338,10 +329,6 @@ options parse(int argc, char** argv) {
     }
     if (auto v = value_of("--engine")) {
       builder.set_engine(*v);
-      continue;
-    }
-    if (auto v = value_of("--shards")) {
-      builder.set_u64_text("shards", *v);
       continue;
     }
     if (auto v = value_of("--seed")) {
@@ -532,8 +519,9 @@ class run_profile {
 /// budget at every checkpoint (each `every` interactions), calls
 /// `at_checkpoint`, and continues, so the run core hands control back
 /// without an option of its own.  Cutting a run into budgets keeps the
-/// direct engine's and the count engine's trajectories (pp/engine.hpp);
-/// the block path and the sharded engine keep only the distribution.
+/// direct engine's and the count engine's trajectories (pp/engine.hpp),
+/// and the block path's for a transition that draws no randomness; for
+/// sublinear on the block path it keeps only the distribution.
 template <simulation_engine E>
 class checkpointed {
  public:

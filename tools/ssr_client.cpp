@@ -48,7 +48,7 @@ using ssr::obs::json_value;
 constexpr std::string_view k_flags[] = {
     "--port",        "--port-file", "--protocol",  "--scenario",
     "--n",           "--h",         "--t-max",     "--trials",
-    "--seed",        "--max-time",  "--engine",    "--shards",
+    "--seed",        "--max-time",  "--engine",
     "--deadline-ms", "--progress",  "--no-cache",  "--stats",
     "--ping",        "--shutdown",  "--sweep-n",   "--hammer",
     "--requests",    "--out-dir",   "--history-dir", "--no-json",
@@ -96,7 +96,7 @@ void usage(std::ostream& os) {
         "         --hammer=C load mode (--requests=M per connection, "
         "default 8)\n"
         "spec:    --protocol=P --scenario=S --n=N --h=H --t-max=T\n"
-        "         --trials=N --seed=S --max-time=T --engine=E --shards=K\n"
+        "         --trials=N --seed=S --max-time=T --engine=E\n"
         "run:     --deadline-ms=N --progress --no-cache\n"
         "telemetry: --trace [--trace-out=FILE] [--trace-sample-every=N]\n"
         "           [--trace-max-events=N] --profile [--profile-out=FILE]\n"
@@ -185,10 +185,6 @@ cli_options parse_args(int argc, char** argv) {
     }
     if (const auto v = value_of("--seed=")) {
       opt.run["seed"] = parse_u64_flag("--seed", *v);
-      continue;
-    }
-    if (const auto v = value_of("--shards=")) {
-      opt.run["shards"] = parse_u64_flag("--shards", *v);
       continue;
     }
     if (const auto v = value_of("--max-time=")) {
